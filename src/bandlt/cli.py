@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,32 +69,40 @@ class Cfg:
             return None
         return Cfg(self.doc[key], self._path(key))
 
+    def _field(self, key: str, default, required: bool):
+        """(present, value): the missing-key preamble of the typed getters."""
+        if key in self.doc:
+            return True, self.doc[key]
+        if required:
+            raise ConfigError(f"missing field '{self._path(key)}'")
+        return False, default
+
     def number(self, key: str, default=None, required: bool = False):
-        if key not in self.doc:
-            if required:
-                raise ConfigError(f"missing field '{self._path(key)}'")
-            return default
-        val = self.doc[key]
+        present, val = self._field(key, default, required)
+        if not present:
+            return val
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"'{self._path(key)}' must be a number")
+        if not math.isfinite(val):
+            raise ConfigError(f"'{self._path(key)}' must be finite")
         return float(val)
 
+    def number_or_auto(self, key: str):
+        """None for 'auto' (the default), else the number at ``key``."""
+        return None if self.doc.get(key, "auto") == "auto" else self.number(key)
+
     def integer(self, key: str, default=None, required: bool = False):
-        if key not in self.doc:
-            if required:
-                raise ConfigError(f"missing field '{self._path(key)}'")
-            return default
-        val = self.doc[key]
+        present, val = self._field(key, default, required)
+        if not present:
+            return val
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"'{self._path(key)}' must be an integer")
         return int(val)
 
     def string(self, key: str, default=None, choices=None, required: bool = False):
-        if key not in self.doc:
-            if required:
-                raise ConfigError(f"missing field '{self._path(key)}'")
-            return default
-        val = self.doc[key]
+        present, val = self._field(key, default, required)
+        if not present:
+            return val
         if not isinstance(val, str):
             raise ConfigError(f"'{self._path(key)}' must be a string")
         if choices and val not in choices:
@@ -145,19 +154,44 @@ def perturbation_samples(spec: dict, x: np.ndarray, coupling: float = 1.0) -> np
 # ---------------------------------------------------------------------------
 # model assembly shared by spectrum / ltcheck / sweep
 
+def _band_set(cfg: Cfg, v0: hill.PeriodicPotential | None = None,
+              ) -> tuple[bandset.BandSet, dict]:
+    """The ``bands`` section: a band-set JSON file, or Hill up to ``e_max``."""
+    bands_cfg = cfg.sub("bands")
+    if bands_cfg.has("file"):
+        with open(bands_cfg.string("file", required=True)) as fh:
+            return bandset.from_json(json.load(fh)), {"source": "file"}
+    if v0 is None:
+        v0 = hill.potential_from_spec(cfg.sub("v0").doc)
+    return hill.band_edges_report(v0, bands_cfg.number("e_max", required=True),
+                                  bands_cfg.number("scan_step"))
+
+
 @dataclass
-class Model:
-    v0: hill.PeriodicPotential
+class Background:
+    """The coupling-free part of a model, built once per command."""
+
     band_set: bandset.BandSet
-    band_meta: dict
-    op_h0: operators.DiscretizedOperator
-    op_h: operators.DiscretizedOperator
-    v_samples: np.ndarray
-    nb: schatten.NormBundle
+    length: float
+    boundary: str
+    spacing: float
+    x: np.ndarray
+    v0_samples: np.ndarray
+    v0_inf: float
+    p: float
     delta: float
 
 
-def build_model(cfg: Cfg, coupling: float = 1.0) -> Model:
+@dataclass
+class Model:
+    """H = H0 + alpha V on a background, for one coupling alpha."""
+
+    op_h: operators.DiscretizedOperator
+    v_samples: np.ndarray
+    nb: schatten.NormBundle
+
+
+def build_background(cfg: Cfg) -> Background:
     v0 = hill.potential_from_spec(cfg.sub("v0").doc)
     grid = cfg.sub("grid")
     if grid.has("length"):
@@ -165,51 +199,43 @@ def build_model(cfg: Cfg, coupling: float = 1.0) -> Model:
     else:
         length = grid.number("periods", required=True) * v0.period
     n = grid.integer("points", required=True)
+    if n > operators.DENSE_SOLVER_CAP:
+        raise ConfigError(f"'grid.points' = {n} exceeds the dense-solver cap "
+                          f"{operators.DENSE_SOLVER_CAP}")
     boundary = grid.string("boundary", default="dirichlet",
                            choices=("dirichlet", "periodic"))
+    h, x = operators.grid_nodes(length, n, boundary)
 
+    I, _ = _band_set(cfg, v0)
     bands_cfg = cfg.sub("bands")
-    if bands_cfg.has("file"):
-        with open(bands_cfg.string("file", required=True)) as fh:
-            I = bandset.from_json(json.load(fh))
-        meta = {"source": "file"}
-    else:
-        e_max = bands_cfg.number("e_max", required=True)
-        I, meta = hill.band_edges_report(v0, e_max, bands_cfg.number("scan_step"))
-        if bands_cfg.raw("close_with_ray", True):
-            I = bandset.close_with_ray(I)
-
-    probe = operators.discretize(0.0, 0.0, length, n, boundary)
-    x = probe.grid()
-    v0_samples = np.asarray(v0.evaluate(x), dtype=float)
-    v_samples = perturbation_samples(cfg.sub("v").doc, x, coupling)
-    op_h0 = operators.discretize(v0_samples, 0.0, length, n, boundary)
-    op_h = operators.discretize(v0_samples, v_samples, length, n, boundary)
+    if not bands_cfg.has("file") and bands_cfg.raw("close_with_ray", True):
+        I = bandset.close_with_ray(I)
 
     exps = cfg.sub("exponents", required=False)
     p = exps.number("p", default=2.0) if exps else 2.0
-    nb = schatten.norm_bundle(p, v_samples, op_h.spacing, v0_inf=v0.sup_norm)
+    delta = cfg.number_or_auto("delta")
+    if delta is None:
+        delta = operators.default_delta(h, I)
+    return Background(band_set=I, length=length, boundary=boundary, spacing=h,
+                      x=x, v0_samples=np.asarray(v0.evaluate(x), dtype=float),
+                      v0_inf=v0.sup_norm, p=p, delta=delta)
 
-    delta_raw = cfg.raw("delta", "auto")
-    if delta_raw == "auto":
-        delta = operators.default_delta(op_h.spacing, I)
-    elif isinstance(delta_raw, (int, float)) and not isinstance(delta_raw, bool):
-        delta = float(delta_raw)
-    else:
-        raise ConfigError("'delta' must be 'auto' or a number")
-    return Model(v0=v0, band_set=I, band_meta=meta, op_h0=op_h0, op_h=op_h,
-                 v_samples=v_samples, nb=nb, delta=delta)
+
+def build_model(cfg: Cfg, bg: Background, coupling: float = 1.0) -> Model:
+    v_samples = perturbation_samples(cfg.sub("v").doc, bg.x, coupling)
+    op_h = operators.discretize(bg.v0_samples, v_samples, bg.length, bg.x.size,
+                                bg.boundary)
+    nb = schatten.norm_bundle(bg.p, v_samples, bg.spacing, v0_inf=bg.v0_inf)
+    return Model(op_h=op_h, v_samples=v_samples, nb=nb)
 
 
 def resolve_omega(cfg: Cfg, omega1: float, theorem: str) -> float:
-    raw = cfg.raw("omega", "auto")
-    if raw == "auto":
-        if theorem == "T1simplified":
-            return omega1 - 2.0 * max(1.0, abs(omega1))
-        return ltsums.default_omega(omega1)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
-    raise ConfigError("'omega' must be 'auto' or a number")
+    omega = cfg.number_or_auto("omega")
+    if omega is not None:
+        return omega
+    if theorem == "T1simplified":
+        return omega1 - 2.0 * max(1.0, abs(omega1))
+    return ltsums.default_omega(omega1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +268,6 @@ def lt_report_csv(report: ltsums.LTReport) -> tuple[list[str], list[list]]:
            report.lhs, report.rhs_structure, report.empirical_ratio,
            report.eigenvalue_count]
     return header, [row]
-
-
-def lt_report_from_csv_row(row: dict) -> ltsums.LTReport:
-    """Rebuild an LTReport from a CSV row (round-trip counterpart)."""
-    return ltsums.LTReport(
-        theorem=row["theorem"],
-        lhs=float(row["lhs"]),
-        rhs_structure=float(row["rhs_structure"]),
-        empirical_ratio=float(row["empirical_ratio"]),
-        parameters=json.loads(row["parameters"]),
-        eigenvalue_count=int(row["eigenvalue_count"]),
-    )
 
 
 def emit_svg_scatter(report: operators.SpectrumReport, I: bandset.BandSet,
@@ -354,11 +368,7 @@ def _wrap(command: str, seed: int | None, result: dict) -> dict:
 
 
 def cmd_bands(cfg: Cfg, seed, outputs) -> dict:
-    v0 = hill.potential_from_spec(cfg.sub("v0").doc)
-    bands_cfg = cfg.sub("bands")
-    I, meta = hill.band_edges_report(
-        v0, bands_cfg.number("e_max", required=True), bands_cfg.number("scan_step")
-    )
+    I, meta = _band_set(cfg)
     doc = bandset.to_json(I)
     doc["metadata"] = meta
     if "json" in outputs:
@@ -368,12 +378,7 @@ def cmd_bands(cfg: Cfg, seed, outputs) -> dict:
 
 def cmd_distort(cfg: Cfg, seed, outputs) -> dict:
     d = cfg.sub("distort")
-    if cfg.sub("bands").has("file"):
-        with open(cfg.sub("bands").string("file", required=True)) as fh:
-            I = bandset.from_json(json.load(fh))
-    else:
-        v0 = hill.potential_from_spec(cfg.sub("v0").doc)
-        I, _ = hill.band_edges_report(v0, cfg.sub("bands").number("e_max", required=True))
+    I, _ = _band_set(cfg)
     rng = np.random.default_rng(seed)
     report = moebius.verify_distortion(
         I,
@@ -389,21 +394,22 @@ def cmd_distort(cfg: Cfg, seed, outputs) -> dict:
     return doc
 
 
-def _spectrum_parts(cfg: Cfg, coupling: float = 1.0):
-    model = build_model(cfg, coupling)
-    report = operators.spectrum_report(model.op_h, model.band_set, model.delta)
+def _spectrum_parts(cfg: Cfg, bg: Background, coupling: float = 1.0):
+    model = build_model(cfg, bg, coupling)
+    report = operators.spectrum_report(model.op_h, bg.band_set, bg.delta)
     return model, report
 
 
 def cmd_spectrum(cfg: Cfg, seed, outputs) -> dict:
-    model, report = _spectrum_parts(cfg)
+    bg = build_background(cfg)
+    model, report = _spectrum_parts(cfg, bg)
     doc = operators.report_to_json(model.op_h, report)
-    doc["band_set"] = bandset.to_json(model.band_set)
+    doc["band_set"] = bandset.to_json(bg.band_set)
     doc["omega1"] = operators.numerical_range_abscissa(model.op_h)
     if "json" in outputs:
         write_json(outputs["json"], _wrap("spectrum", seed, doc))
     if "csv" in outputs:
-        d = bandset.dist_to_bands(report.eigenvalues, model.band_set,
+        d = bandset.dist_to_bands(report.eigenvalues, bg.band_set,
                                   treat_as_complete=True)
         cands = set(map(complex, report.discrete_candidates))
         arts = set(map(complex, report.boundary_artifacts))
@@ -414,13 +420,13 @@ def cmd_spectrum(cfg: Cfg, seed, outputs) -> dict:
         ]
         write_csv(outputs["csv"], ["re", "im", "dist", "discrete", "artifact"], rows)
     if "svg" in outputs:
-        emit_svg_scatter(report, model.band_set, outputs["svg"])
+        emit_svg_scatter(report, bg.band_set, outputs["svg"])
     return doc
 
 
-def _lt_report(cfg: Cfg, theorem: str, coupling: float = 1.0) -> ltsums.LTReport:
-    model, report = _spectrum_parts(cfg, coupling)
-    exps = cfg.sub("exponents", required=False)
+def _lt_report(cfg: Cfg, bg: Background, theorem: str,
+               coupling: float = 1.0) -> ltsums.LTReport:
+    model, report = _spectrum_parts(cfg, bg, coupling)
     if theorem in ("T1", "T1simplified"):
         omega1 = operators.numerical_range_abscissa(model.op_h)
         omega = resolve_omega(cfg, omega1, theorem)
@@ -428,16 +434,16 @@ def _lt_report(cfg: Cfg, theorem: str, coupling: float = 1.0) -> ltsums.LTReport
             return ltsums.lt_sum_t1(report, omega, omega1, model.nb)
         return ltsums.lt_sum_t1_simplified(report, omega, omega1, model.nb)
     if theorem == "T2":
-        return ltsums.lt_sum_t2(report, model.nb, model.band_set.a1)
+        return ltsums.lt_sum_t2(report, model.nb, bg.band_set.a1)
+    exps = cfg.sub("exponents", required=False)
     epsilon = exps.number("epsilon", default=0.5) if exps else 0.5
-    a_values = cfg.raw("a_values")
     return ltsums.lt_sum_t3(report, model.nb, epsilon, model.v_samples,
-                            a_values=a_values)
+                            a_values=cfg.raw("a_values"))
 
 
 def cmd_ltcheck(cfg: Cfg, seed, outputs) -> dict:
     theorem = cfg.string("theorem", required=True, choices=THEOREMS)
-    report = _lt_report(cfg, theorem)
+    report = _lt_report(cfg, build_background(cfg), theorem)
     if "json" in outputs:
         write_json(outputs["json"], _wrap("ltcheck", seed, report.to_json()))
     if "csv" in outputs:
@@ -471,7 +477,8 @@ def cmd_sweep(cfg: Cfg, seed, outputs) -> dict:
     alphas = cfg.raw("alphas")
     if not isinstance(alphas, list) or not alphas:
         raise ConfigError("'alphas' must be a nonempty list of couplings")
-    rows = ltsums.coupling_sweep(lambda a: _lt_report(cfg, theorem, a), alphas)
+    bg = build_background(cfg)
+    rows = ltsums.coupling_sweep(lambda a: _lt_report(cfg, bg, theorem, a), alphas)
     summary = ltsums.sweep_trend(rows)
     doc = {"rows": rows, "trend": summary, "theorem": theorem}
     if "json" in outputs:

@@ -68,8 +68,20 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def _contributing(report: SpectrumReport) -> np.ndarray:
-    return report.contributing()
+def _distances(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
+    """Contributing candidates and their distances to the band set."""
+    zs = report.contributing()
+    return zs, bs.dist_to_bands(zs, report.band_set)
+
+
+def _dist_sum(d: np.ndarray, p: float, denom) -> float:
+    """sum d^p / denom: the left side of every bound family."""
+    return float(np.sum(d**p / denom))
+
+
+def _require_p2(nb: NormBundle) -> None:
+    if nb.p < 2:
+        raise PreconditionError("this bound family needs p >= 2")
 
 
 def _base_params(report: SpectrumReport, nb: NormBundle) -> dict:
@@ -87,17 +99,12 @@ def _base_params(report: SpectrumReport, nb: NormBundle) -> dict:
 def lt_sum_t1(report: SpectrumReport, omega: float, omega1: float,
               nb: NormBundle) -> LTReport:
     """Shifted-kernel sum against the (w1-w), |w| right-side structure."""
-    if nb.p < 2:
-        raise PreconditionError("this bound family needs p >= 2")
+    _require_p2(nb)
     if not (omega < omega1 and omega < 0):
         raise PreconditionError("need omega < omega_1 and omega < 0")
-    zs = _contributing(report)
+    zs, d = _distances(report)
     I = report.band_set
-    if zs.size:
-        d = bs.dist_to_bands(zs, I)
-        lhs = float(np.sum(d**nb.p / (np.abs(zs - omega) + abs(omega)) ** (2 * nb.p)))
-    else:
-        lhs = 0.0
+    lhs = _dist_sum(d, nb.p, (np.abs(zs - omega) + abs(omega)) ** (2 * nb.p))
     rhs = (
         nb.v_p**nb.p / ((omega1 - omega) ** nb.p * abs(omega) ** (nb.p - 0.5))
         * (1.0 + nb.v0_inf / (I.a1 + abs(omega))) ** nb.p
@@ -110,16 +117,11 @@ def lt_sum_t1(report: SpectrumReport, omega: float, omega1: float,
 def lt_sum_t1_simplified(report: SpectrumReport, omega: float, omega1: float,
                          nb: NormBundle) -> LTReport:
     """Unit-window kernel variant, valid once omega < omega_1 - 1."""
-    if nb.p < 2:
-        raise PreconditionError("this bound family needs p >= 2")
+    _require_p2(nb)
     if not omega < omega1 - 1.0:
         raise PreconditionError("need omega < omega_1 - 1")
-    zs = _contributing(report)
-    if zs.size:
-        d = bs.dist_to_bands(zs, report.band_set)
-        lhs = float(np.sum(d**nb.p / (1.0 + np.abs(zs)) ** (2 * nb.p)))
-    else:
-        lhs = 0.0
+    zs, d = _distances(report)
+    lhs = _dist_sum(d, nb.p, (1.0 + np.abs(zs)) ** (2 * nb.p))
     rhs = abs(omega) ** (nb.p + 0.5) * (1.0 + nb.v0_inf) ** nb.p * nb.v_p**nb.p
     params = _base_params(report, nb)
     params.update({"omega": omega, "omega1": omega1})
@@ -128,14 +130,9 @@ def lt_sum_t1_simplified(report: SpectrumReport, omega: float, omega1: float,
 
 def lt_sum_t2(report: SpectrumReport, nb: NormBundle, a1: float) -> LTReport:
     """Shift-free variant; the price is the extra (1+|V|_p) power."""
-    if nb.p < 2:
-        raise PreconditionError("this bound family needs p >= 2")
-    zs = _contributing(report)
-    if zs.size:
-        d = bs.dist_to_bands(zs, report.band_set)
-        lhs = float(np.sum(d**nb.p / (1.0 + np.abs(zs)) ** (2 * nb.p)))
-    else:
-        lhs = 0.0
+    _require_p2(nb)
+    zs, d = _distances(report)
+    lhs = _dist_sum(d, nb.p, (1.0 + np.abs(zs)) ** (2 * nb.p))
     expo = nb.p * (2.0 * nb.p + 1.0) / (2.0 * nb.p - 1.0)
     rhs = (1.0 + nb.v0_inf) ** nb.p * (1.0 + nb.v_p) ** expo * nb.v_p**nb.p
     params = _base_params(report, nb)
@@ -164,15 +161,11 @@ def lt_sum_t3(report: SpectrumReport, nb: NormBundle, epsilon: float,
             "accretive bound needs Re V >= 0 samplewise; "
             f"min Re V = {float(np.min(v.real))}"
         )
-    zs = _contributing(report)
-    if zs.size:
-        d = bs.dist_to_bands(zs, report.band_set)
-        az = np.abs(zs)
-        inside = az < 1.0
-        lhs_in = float(np.sum(d[inside] ** nb.p / az[inside] ** (0.5 - epsilon)))
-        lhs_out = float(np.sum(d[~inside] ** nb.p / az[~inside] ** (0.5 + epsilon)))
-    else:
-        lhs_in = lhs_out = 0.0
+    zs, d = _distances(report)
+    az = np.abs(zs)
+    inside = az < 1.0
+    lhs_in = _dist_sum(d[inside], nb.p, az[inside] ** (0.5 - epsilon))
+    lhs_out = _dist_sum(d[~inside], nb.p, az[~inside] ** (0.5 + epsilon))
     lhs = lhs_in + lhs_out
     rhs = nb.v_p**nb.p
     params = _base_params(report, nb)
@@ -186,11 +179,7 @@ def lt_sum_t3(report: SpectrumReport, nb: NormBundle, epsilon: float,
         for a in a_values:
             if not a > 0:
                 raise PreconditionError("diagnostic shifts a must be positive")
-            if zs.size:
-                d = bs.dist_to_bands(zs, report.band_set)
-                lhs_a = float(np.sum(d**nb.p / (np.abs(zs) + a) ** (2 * nb.p)))
-            else:
-                lhs_a = 0.0
+            lhs_a = _dist_sum(d, nb.p, (az + a) ** (2 * nb.p))
             rhs_a = nb.v_p**nb.p / a ** (2.0 * nb.p - 0.5)
             rows.append({"a": float(a), "lhs": lhs_a, "rhs_structure": rhs_a,
                          "empirical_ratio": _ratio(lhs_a, rhs_a)})
@@ -318,30 +307,6 @@ def coupling_sweep(run_point, alphas) -> list[dict]:
     return rows
 
 
-def refinement_ratios(run_point, grid_sizes) -> dict:
-    """Empirical ratios across grid refinements, with drift made visible.
-
-    ``run_point(n) -> LTReport``.  Whether the discretized candidates
-    converge fast enough for the ratios to stabilize is an empirical
-    question, so rows are reported and non-monotone behavior is flagged,
-    never asserted away.
-    """
-    rows = []
-    for n in grid_sizes:
-        rep = run_point(int(n))
-        rows.append({
-            "n": int(n),
-            "lhs": rep.lhs,
-            "rhs_structure": rep.rhs_structure,
-            "empirical_ratio": rep.empirical_ratio,
-            "eigenvalue_count": rep.eigenvalue_count,
-        })
-    ratios = [r["empirical_ratio"] for r in rows]
-    diffs = np.diff(ratios)
-    monotone = bool(np.all(diffs <= 0) or np.all(diffs >= 0))
-    return {"rows": rows, "monotone": monotone}
-
-
 def sweep_trend(rows: list[dict], window: int = 3, factor: float = 4.0) -> dict:
     """Flag departures of lhs/alpha^p from constancy over the smallest couplings.
 
@@ -428,7 +393,7 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
         )
     mob = moebius.MoebiusMap(omega)
 
-    zs = _contributing(report)
+    zs = report.contributing()
     if zs.size:
         ratio = np.atleast_1d(moebius.distortion_ratio(zs, I, mob))
         bound = np.atleast_1d(moebius.distortion_bound(zs, I, mob, "uniform"))

@@ -57,9 +57,26 @@ class DiscretizedOperator:
 
     def grid(self) -> np.ndarray:
         """Node positions; Dirichlet nodes are interior, periodic include 0."""
-        if self.boundary == "dirichlet":
-            return self.spacing * np.arange(1, self.size + 1)
-        return self.spacing * np.arange(self.size)
+        return grid_nodes(self.length, self.size, self.boundary)[1]
+
+
+def grid_nodes(length: float, n: int, boundary: str = "dirichlet") -> tuple[float, np.ndarray]:
+    """Spacing and node positions of the N-point grid on [0, L].
+
+    Dirichlet uses h = L/(N+1) with interior nodes, periodic uses h = L/N
+    with nodes from 0.
+    """
+    if n < 3:
+        raise PreconditionError("need at least 3 grid points")
+    if not length > 0:
+        raise PreconditionError("box length must be positive")
+    if boundary == "dirichlet":
+        h = length / (n + 1)
+        return h, h * np.arange(1, n + 1)
+    if boundary == "periodic":
+        h = length / n
+        return h, h * np.arange(n)
+    raise ValidationError(f"unknown boundary {boundary!r}")
 
 
 def _as_samples(values, n: int, name: str) -> np.ndarray:
@@ -77,15 +94,10 @@ def discretize(v0, v, length: float, n: int, boundary: str = "dirichlet") -> Dis
     """Assemble the N x N model matrix.
 
     ``v0`` must be nonnegative samplewise (background hypothesis); ``v``
-    may be complex.  Scalars broadcast.  Dirichlet uses h = L/(N+1) with
-    interior nodes, periodic uses h = L/N with corner couplings.
+    may be complex.  Scalars broadcast.  The grid is that of
+    :func:`grid_nodes`; periodic ends add corner couplings.
     """
-    if n < 3:
-        raise PreconditionError("need at least 3 grid points")
-    if not length > 0:
-        raise PreconditionError("box length must be positive")
-    if boundary not in ("dirichlet", "periodic"):
-        raise ValidationError(f"unknown boundary {boundary!r}")
+    h, _ = grid_nodes(length, n, boundary)
     v0_arr = _as_samples(v0, n, "V0")
     if np.iscomplexobj(v0_arr):
         raise ValidationError("V0 must be real-valued")
@@ -98,7 +110,6 @@ def discretize(v0, v, length: float, n: int, boundary: str = "dirichlet") -> Dis
     complex_v = np.iscomplexobj(v_arr) and np.any(v_arr.imag != 0.0)
     v_arr = v_arr.astype(complex) if complex_v else v_arr.real.astype(float)
 
-    h = length / (n + 1) if boundary == "dirichlet" else length / n
     dtype = complex if complex_v else float
     m = np.zeros((n, n), dtype=dtype)
     idx = np.arange(n)

@@ -11,7 +11,7 @@ and combining with the numerical-range resolvent estimate
 |R(omega,H) - R(omega,H0)|_Sp used by the eigenvalue sums.  This module
 evaluates C1 (quadrature, cross-checked against its Gamma closed form),
 the bounds, the shift omega' that makes W provably small, and the
-empirical matrix-model margins.
+measured smallness of W on the matrix model.
 """
 
 from __future__ import annotations
@@ -195,23 +195,3 @@ def w_smallness_check(op_h0: operators.DiscretizedOperator, v_samples,
         norm_ordering_ok=op_norm <= sp_norm * (1.0 + 1e-12) + 1e-300,
     )
 
-
-def w_bound_margin_rows(op_h0: operators.DiscretizedOperator, v_samples,
-                        nb: NormBundle, a1: float, z_values) -> list[dict]:
-    """Empirical margins of the W bound on the matrix model, one row per z.
-
-    The continuum bound rests on a Fourier-multiplier estimate with no
-    exact matrix analogue, so rows report margins (rhs/lhs) rather than
-    asserting them; coarse grids can and do fail.
-    """
-    rows = []
-    for z in z_values:
-        rep = w_smallness_check(op_h0, v_samples, complex(z), nb)
-        rhs = bound_w(complex(z), nb, a1)
-        rows.append({
-            "z": [float(complex(z).real), float(complex(z).imag)],
-            "lhs": rep.schatten,
-            "rhs": rhs,
-            "margin": rhs / rep.schatten if rep.schatten > 0 else math.inf,
-        })
-    return rows

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 import yaml
 
-from bandlt import bandset, cli, operators
+from bandlt import bandset, cli, hill, operators
 from bandlt.errors import EXIT_CONFIG, EXIT_HYPOTHESIS
 
 
 @pytest.fixture(scope="module")
 def bands_file(tmp_path_factory):
     """Ray-closed band set for the cos potential, computed once."""
-    from bandlt import hill
-
     I = bandset.close_with_ray(hill.band_edges(hill.cosine(1.0, 2 * math.pi), 10.0))
     path = tmp_path_factory.mktemp("bands") / "I.json"
     path.write_text(json.dumps(bandset.to_json(I)))
@@ -47,6 +45,34 @@ class TestConfigHandling:
     def test_bad_field_type_names_path(self, tmp_path, bands_file):
         doc = spectrum_config(bands_file)
         doc["grid"]["points"] = "many"
+        status, result = cli.run(doc, command="spectrum", out_dir=str(tmp_path))
+        assert status == EXIT_CONFIG
+        assert "grid.points" in result["error"]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_names_path(self, tmp_path, bands_file, value):
+        doc = spectrum_config(bands_file, theorem="T1")
+        doc["v"]["center"] = value
+        status, result = cli.run(doc, command="ltcheck", out_dir=str(tmp_path))
+        assert status == EXIT_CONFIG
+        assert "v.center" in result["error"]
+
+    def test_infinite_e_max_refused_before_scan(self):
+        # an infinite e_max would pass the > 0 check and never end the scan
+        doc = {"v0": {"type": "free", "period": 1.0},
+               "bands": yaml.safe_load("{e_max: .inf}")}
+        status, result = cli.run(doc, command="bands")
+        assert status == EXIT_CONFIG
+        assert "bands.e_max" in result["error"]
+
+    def test_grid_points_over_cap_refused_before_assembly(self, tmp_path, bands_file,
+                                                          monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator assembled despite the size cap")
+
+        monkeypatch.setattr(operators, "discretize", refuse)
+        doc = spectrum_config(bands_file)
+        doc["grid"]["points"] = operators.DENSE_SOLVER_CAP + 1
         status, result = cli.run(doc, command="spectrum", out_dir=str(tmp_path))
         assert status == EXIT_CONFIG
         assert "grid.points" in result["error"]
@@ -94,6 +120,22 @@ class TestDistortCommand:
         assert result["samples"] == 3000
         assert result["violations"] == []
         assert result["min_quotient"] >= 1.0 - 1e-12
+
+
+    def test_hill_path_honours_scan_step(self, monkeypatch):
+        seen = []
+
+        def fake_report(v0, e_max, scan_step=None):
+            seen.append((e_max, scan_step))
+            return bandset.validate([(1, 2), (3, 4)]), {}
+
+        monkeypatch.setattr(hill, "band_edges_report", fake_report)
+        doc = {"v0": {"type": "free", "period": 1.0},
+               "bands": {"e_max": 5.0, "scan_step": 0.1},
+               "distort": {"omega": -0.5, "samples": 100}}
+        status, result = cli.run(doc, command="distort", seed=1)
+        assert status == 0
+        assert seen == [(5.0, 0.1)]
 
 
 class TestSpectrumCommand:
@@ -144,10 +186,9 @@ class TestLtcheckCommand:
         assert np.isfinite(result["lhs"])
         with (tmp_path / "out.csv").open() as fh:
             row = next(csv.DictReader(fh))
-        rebuilt = cli.lt_report_from_csv_row(row)
-        assert rebuilt.theorem == "T1"
-        assert rebuilt.lhs == result["lhs"]
-        assert rebuilt.parameters == result["parameters"]
+        assert row["theorem"] == "T1"
+        assert float(row["lhs"]) == result["lhs"]
+        assert json.loads(row["parameters"]) == result["parameters"]
 
     def test_t3_rejects_sign_indefinite_real_part(self, tmp_path, bands_file):
         doc = spectrum_config(bands_file, theorem="T3")
@@ -198,6 +239,35 @@ class TestSweepCommand:
         with (tmp_path / "out.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["alpha"]) for r in rows] == [1.0, 0.5, 0.25, 0.125]
+
+
+    def test_coupling_free_work_done_once(self, monkeypatch):
+        calls = {"band_edges_report": 0, "discretize": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(hill, "band_edges_report")
+        counted(operators, "discretize")
+        doc = {
+            "v0": {"type": "cos", "q": 1.0, "period": 2 * math.pi},
+            "v": {"type": "bump", "center": 6.0, "halfwidth": 2.0,
+                  "amplitude": [0.4, 0.6]},
+            "grid": {"periods": 2, "points": 80},
+            "bands": {"e_max": 2.0},
+            "theorem": "T1",
+            "alphas": [1.0, 0.5, 0.25],
+        }
+        status, result = cli.run(doc, command="sweep")
+        assert status == 0
+        assert len(result["rows"]) == 3
+        assert calls == {"band_edges_report": 1, "discretize": 3}
 
 
 class TestMainEntry:

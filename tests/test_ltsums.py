@@ -168,11 +168,16 @@ class TestT3:
             ]
             assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_per_a_diagnostics(self):
+    def test_per_a_diagnostics(self, monkeypatch):
         I = bandset.validate([(0.5, 1.0)], ray_start=2.0)
         rep = report_for([0.25 + 0j], I, delta=0.1)
+        calls = []
+        dist = bandset.dist_to_bands
+        monkeypatch.setattr(bandset, "dist_to_bands",
+                            lambda *a, **k: calls.append(a) or dist(*a, **k))
         out = ltsums.lt_sum_t3(rep, bundle(), 0.5, v_samples=np.zeros(4),
                                a_values=[1.0, 2.0])
+        assert len(calls) == 1  # one distance evaluation serves every row
         rows = out.parameters["per_a_diagnostics"]
         assert len(rows) == 2
         assert rows[0]["lhs"] == pytest.approx(0.25**2 / (0.25 + 1.0) ** 4)
@@ -212,35 +217,6 @@ class TestHansmann:
             ltsums.hansmann_ensemble(1, 5, 2.0, 0.1, rng)
         with pytest.raises(PreconditionError):
             ltsums.hansmann_ensemble(5, 5, 1.0, 0.1, rng)
-
-
-class TestRefinementRatios:
-    def test_rows_and_monotonicity_flag(self):
-        def fake_run(n):
-            ratio = {100: 3.0, 200: 2.0, 400: 2.5}[n]  # non-monotone
-            return ltsums.LTReport(
-                theorem="T1", lhs=ratio, rhs_structure=1.0,
-                empirical_ratio=ratio, parameters={"p": 2.0},
-                eigenvalue_count=n // 100,
-            )
-
-        out = ltsums.refinement_ratios(fake_run, [100, 200, 400])
-        assert [r["n"] for r in out["rows"]] == [100, 200, 400]
-        assert out["monotone"] is False
-
-    def test_real_model_reports(self, small_model):
-        h0, h, report, nb = small_model
-        # reuse one grid three times: degenerate refinement, but exercises
-        # the reporting path against a genuine pipeline
-        omega1 = operators.numerical_range_abscissa(h)
-        omega = ltsums.default_omega(omega1)
-
-        def run_point(n):
-            return ltsums.lt_sum_t1(report, omega, omega1, nb)
-
-        out = ltsums.refinement_ratios(run_point, [300, 400, 500])
-        assert out["monotone"] is True
-        assert all(np.isfinite(r["empirical_ratio"]) for r in out["rows"])
 
 
 class TestCouplingSweep:

@@ -185,18 +185,6 @@ class TestWSmallness:
             rep = schatten.w_smallness_check(op, v, z, nb)
             assert rep.norm_ordering_ok
 
-    def test_margin_rows_shape(self, rng):
-        n = 60
-        op = operators.discretize(0.0, 0.0, length=12.0, n=n)
-        x = op.grid()
-        v = np.where(np.abs(x - 6.0) < 1.5, 1.0 + 0.5j, 0.0)
-        nb = schatten.norm_bundle(2.0, v, op.spacing, v0_inf=0.0)
-        rows = schatten.w_bound_margin_rows(op, v, nb, 0.0, [-1.0, -4.0, -16.0])
-        assert len(rows) == 3
-        for row in rows:
-            assert row["lhs"] >= 0 and row["rhs"] > 0
-            assert np.isfinite(row["margin"])
-
 
 class TestResolventNormEstimate:
     def test_numerical_range_controls_resolvent(self, rng):
