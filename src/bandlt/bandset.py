@@ -68,7 +68,11 @@ def validate(edges, ray_start: float | None = None) -> BandSet:
     nonnegative), any non-interlacing pair (reported with the 1-based
     band index), and a ray starting at or below ``b_K``.
     """
-    pairs = [(float(a), float(b)) for a, b in edges]
+    try:
+        pairs = [(float(a), float(b)) for a, b in edges]
+        ray_start = None if ray_start is None else float(ray_start)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"band edges must be [a, b] number pairs: {exc}") from None
     if not pairs:
         raise ValidationError("band set needs at least one band")
     for k, (a, b) in enumerate(pairs, start=1):
@@ -84,7 +88,6 @@ def validate(edges, ray_start: float | None = None) -> BandSet:
         if not pairs[k][1] < pairs[k + 1][0]:
             raise ValidationError(f"edges not strictly interlacing at k={k + 1}")
     if ray_start is not None:
-        ray_start = float(ray_start)
         if not math.isfinite(ray_start) or not pairs[-1][1] < ray_start:
             raise ValidationError(
                 f"terminal ray must start strictly above b_K={pairs[-1][1]}"
@@ -93,6 +96,15 @@ def validate(edges, ray_start: float | None = None) -> BandSet:
     else:
         cap = pairs[-1][1]
     return BandSet(edges=tuple(pairs), ray_start=ray_start, validity_cap=cap)
+
+
+def _interval_dist(x, y, lo, hi):
+    """Distance from x + iy (real arrays of one shape) to the union of
+    closed intervals [lo_k, hi_k]: band sets and their Moebius images."""
+    fx = np.ravel(x)
+    dx = np.maximum(lo[:, None] - fx, fx - hi[:, None])
+    np.maximum(dx, 0.0, out=dx)
+    return np.min(np.hypot(dx, np.ravel(y)), axis=0).reshape(np.shape(x))
 
 
 def dist_to_bands(z, band_set: BandSet, treat_as_complete: bool = False):
@@ -105,7 +117,6 @@ def dist_to_bands(z, band_set: BandSet, treat_as_complete: bool = False):
     """
     zs = np.asarray(z, dtype=complex)
     x = zs.real
-    y = zs.imag
     if (not treat_as_complete and not band_set.terminal_ray
             and np.any(x > band_set.validity_cap)):
         raise ValidityCapError(
@@ -115,16 +126,24 @@ def dist_to_bands(z, band_set: BandSet, treat_as_complete: bool = False):
         )
     lo = band_set.lower_edges()
     hi = band_set.upper_edges()
-    flat_x = np.atleast_1d(x).ravel()
-    flat_y = np.atleast_1d(y).ravel()
-    dx = np.maximum(lo[:, None] - flat_x, flat_x - hi[:, None])
-    np.maximum(dx, 0.0, out=dx)
-    d = np.min(np.hypot(dx, flat_y), axis=0)
     if band_set.terminal_ray:
-        dxr = np.maximum(band_set.ray_start - flat_x, 0.0)
-        d = np.minimum(d, np.hypot(dxr, flat_y))
-    d = d.reshape(zs.shape)
+        # beyond the ray start the distance is |Im z|; clipping Re z there
+        # keeps +inf - inf out of the ray's open end
+        x = np.minimum(x, band_set.ray_start)
+        lo = np.append(lo, band_set.ray_start)
+        hi = np.append(hi, np.inf)
+    d = _interval_dist(x, zs.imag, lo, hi)
     return float(d) if zs.ndim == 0 else d
+
+
+def gaps(band_set: BandSet) -> tuple[np.ndarray, np.ndarray]:
+    """(left ends, right ends) of the stored gaps in order, counting the
+    gap between the last band and the terminal ray."""
+    left = band_set.upper_edges()
+    right = list(band_set.lower_edges()[1:])
+    if band_set.terminal_ray:
+        right.append(band_set.ray_start)
+    return left[: len(right)], np.asarray(right)
 
 
 def gap_ratio(band_set: BandSet) -> float:
@@ -133,15 +152,10 @@ def gap_ratio(band_set: BandSet) -> float:
     The gap between the last band and the terminal ray counts.  Invariant
     under rescaling of the energy axis.
     """
-    lo = band_set.lower_edges()
-    hi = band_set.upper_edges()
-    nexts = list(lo[1:])
-    if band_set.terminal_ray:
-        nexts.append(band_set.ray_start)
-    if not nexts:
+    left, right = gaps(band_set)
+    if not right.size:
         raise PreconditionError("no gaps: single band without a terminal ray")
-    nexts = np.asarray(nexts)
-    return float(np.max((nexts - hi[: len(nexts)]) / hi[: len(nexts)]))
+    return float(np.max((right - left) / left))
 
 
 def close_with_ray(band_set: BandSet) -> BandSet:
@@ -170,6 +184,6 @@ def from_json(doc) -> BandSet:
     """Parse the shared band-set JSON (dict or string)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    if "bands" not in doc:
+    if not isinstance(doc, dict) or "bands" not in doc:
         raise ValidationError("band-set JSON needs a 'bands' array")
     return validate(doc["bands"], ray_start=doc.get("terminal_ray"))

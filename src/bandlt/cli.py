@@ -44,6 +44,15 @@ THEOREMS = ("T1", "T1simplified", "T2", "T3")
 # ---------------------------------------------------------------------------
 # config access
 
+def _finite(val, path: str) -> float:
+    """``val`` as a finite float; errors name the field ``path``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"'{path}' must be a number")
+    if not abs(val) <= sys.float_info.max:  # NaN, infinities, huge integers
+        raise ConfigError(f"'{path}' must be a finite float")
+    return float(val)
+
+
 class Cfg:
     """Dict wrapper whose errors carry the offending field path."""
 
@@ -79,13 +88,15 @@ class Cfg:
 
     def number(self, key: str, default=None, required: bool = False):
         present, val = self._field(key, default, required)
-        if not present:
-            return val
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"'{self._path(key)}' must be a number")
-        if not math.isfinite(val):
-            raise ConfigError(f"'{self._path(key)}' must be finite")
-        return float(val)
+        return _finite(val, self._path(key)) if present else val
+
+    def numbers(self, key: str, required: bool = False) -> list[float] | None:
+        """The list of finite numbers at ``key``, or None when absent."""
+        present, val = self._field(key, None, required)
+        if present and not isinstance(val, list):
+            raise ConfigError(f"'{self._path(key)}' must be a list of numbers")
+        return [_finite(v, f"{self._path(key)}[{i}]")
+                for i, v in enumerate(val)] if present else None
 
     def number_or_auto(self, key: str):
         """None for 'auto' (the default), else the number at ``key``."""
@@ -110,12 +121,24 @@ class Cfg:
         return val
 
 
-def _amplitude(raw, path: str) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return complex(float(raw[0]), float(raw[1]))
-    raise ConfigError(f"'{path}' must be a number or an [re, im] pair")
+def _pair(raw, path: str) -> complex:
+    """An [re, im] pair of finite numbers as a complex number."""
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ConfigError(f"'{path}' must be an [re, im] pair")
+    return complex(_finite(raw[0], f"{path}[0]"), _finite(raw[1], f"{path}[1]"))
+
+
+def _potential(cfg: Cfg) -> hill.PeriodicPotential:
+    """The ``v0`` section: ``free``, ``cos`` (amplitude ``q``) or ``samples``."""
+    v0 = cfg.sub("v0")
+    kind = v0.string("type", required=True, choices=("free", "cos", "samples"))
+    if kind == "free":
+        return hill.free(v0.number("period", default=1.0))
+    if kind == "cos":
+        return hill.cosine(v0.number("q", required=True),
+                           v0.number("period", default=2.0 * math.pi))
+    return hill.from_samples(v0.numbers("values", required=True),
+                             v0.number("period", required=True))
 
 
 def perturbation_samples(spec: dict, x: np.ndarray, coupling: float = 1.0) -> np.ndarray:
@@ -135,8 +158,10 @@ def perturbation_samples(spec: dict, x: np.ndarray, coupling: float = 1.0) -> np
         vals = cfg.raw("values")
         if not isinstance(vals, list) or len(vals) != x.size:
             raise ConfigError("'v.values' must list one [re, im] pair per grid node")
-        return alpha * np.array([complex(a, b) for a, b in vals])
-    amp = _amplitude(cfg.raw("amplitude", 1.0), "v.amplitude")
+        return alpha * np.array([_pair(v, f"v.values[{i}]") for i, v in enumerate(vals)])
+    amp = cfg.raw("amplitude", 1.0)
+    amp = (_pair(amp, "v.amplitude") if isinstance(amp, list)
+           else complex(_finite(amp, "v.amplitude")))
     center = cfg.number("center", required=True)
     halfwidth = cfg.number("halfwidth", required=True)
     if not halfwidth > 0:
@@ -159,10 +184,15 @@ def _band_set(cfg: Cfg, v0: hill.PeriodicPotential | None = None,
     """The ``bands`` section: a band-set JSON file, or Hill up to ``e_max``."""
     bands_cfg = cfg.sub("bands")
     if bands_cfg.has("file"):
-        with open(bands_cfg.string("file", required=True)) as fh:
-            return bandset.from_json(json.load(fh)), {"source": "file"}
+        path = bands_cfg.string("file", required=True)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"'bands.file' is not a readable JSON file: {exc}") from exc
+        return bandset.from_json(doc), {"source": "file"}
     if v0 is None:
-        v0 = hill.potential_from_spec(cfg.sub("v0").doc)
+        v0 = _potential(cfg)
     return hill.band_edges_report(v0, bands_cfg.number("e_max", required=True),
                                   bands_cfg.number("scan_step"))
 
@@ -192,7 +222,7 @@ class Model:
 
 
 def build_background(cfg: Cfg) -> Background:
-    v0 = hill.potential_from_spec(cfg.sub("v0").doc)
+    v0 = _potential(cfg)
     grid = cfg.sub("grid")
     if grid.has("length"):
         length = grid.number("length", required=True)
@@ -426,6 +456,7 @@ def cmd_spectrum(cfg: Cfg, seed, outputs) -> dict:
 
 def _lt_report(cfg: Cfg, bg: Background, theorem: str,
                coupling: float = 1.0) -> ltsums.LTReport:
+    a_values = cfg.numbers("a_values") if theorem == "T3" else None
     model, report = _spectrum_parts(cfg, bg, coupling)
     if theorem in ("T1", "T1simplified"):
         omega1 = operators.numerical_range_abscissa(model.op_h)
@@ -438,7 +469,7 @@ def _lt_report(cfg: Cfg, bg: Background, theorem: str,
     exps = cfg.sub("exponents", required=False)
     epsilon = exps.number("epsilon", default=0.5) if exps else 0.5
     return ltsums.lt_sum_t3(report, model.nb, epsilon, model.v_samples,
-                            a_values=cfg.raw("a_values"))
+                            a_values=a_values)
 
 
 def cmd_ltcheck(cfg: Cfg, seed, outputs) -> dict:
@@ -474,8 +505,8 @@ def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
 
 def cmd_sweep(cfg: Cfg, seed, outputs) -> dict:
     theorem = cfg.string("theorem", required=True, choices=THEOREMS)
-    alphas = cfg.raw("alphas")
-    if not isinstance(alphas, list) or not alphas:
+    alphas = cfg.numbers("alphas", required=True)
+    if not alphas:
         raise ConfigError("'alphas' must be a nonempty list of couplings")
     bg = build_background(cfg)
     rows = ltsums.coupling_sweep(lambda a: _lt_report(cfg, bg, theorem, a), alphas)

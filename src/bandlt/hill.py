@@ -32,6 +32,8 @@ _DET_TOL = 1e-10
 _EDGE_TOL = 1e-10
 _DEGENERATE_GAP = 1e-8
 _PROBE_POINTS = 2048
+_MAX_STEPS = 50_000  # RK4 steps per sweep; Mathieu q = 2 to e_max 30 needs 7211
+_MAX_SCAN_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -116,26 +118,20 @@ def from_samples(values, period: float) -> PeriodicPotential:
     return from_callable(evaluate, period)
 
 
-def potential_from_spec(doc: dict) -> PeriodicPotential:
-    """Build a potential from the shared config form {"type": ..., ...}."""
-    kind = doc.get("type")
-    if kind == "free":
-        return free(float(doc.get("period", 1.0)))
-    if kind == "cos":
-        return cosine(float(doc["q"]), float(doc.get("period", 2.0 * math.pi)))
-    if kind == "samples":
-        return from_samples(doc["values"], float(doc["period"]))
-    raise ValidationError(f"unknown potential type {kind!r}")
-
-
 def default_steps(energy: float, period: float) -> int:
     """Step count keeping det within 1e-10 and trace error below ~1e-9.
 
     Classical RK4 on the oscillatory system drifts the Wronskian by about
     (phase/n)^6/72 per step and the phase by (phase/n)^5/120, with
     phase = sqrt(E) T.  Scaling n like phase^(5/4) bounds both uniformly.
+    A count above ``_MAX_STEPS`` is refused before anything is allocated.
     """
     phase = math.sqrt(max(energy, 0.0)) * period
+    if phase > (_MAX_STEPS / 80.0) ** 0.8:
+        raise PreconditionError(
+            f"energy {energy} needs more than {_MAX_STEPS} RK4 steps over "
+            f"period {period}; lower e_max"
+        )
     return max(1000, int(math.ceil(80.0 * phase ** 1.25)))
 
 
@@ -216,7 +212,8 @@ def discriminant(V0: PeriodicPotential, energy):
 
 def _scan_grid(period: float, e_max: float, scan_step: float | None) -> np.ndarray:
     """Energies from -1 to e_max; spacing grows like sqrt(E) because edges
-    of the period problem spread quadratically."""
+    of the period problem spread quadratically.  A step that cannot
+    advance E, or a grid above ``_MAX_SCAN_POINTS``, is refused."""
     e_ref = (math.pi / period) ** 2
     s0 = 1e-2 * e_ref if scan_step is None else float(scan_step)
     if s0 <= 0:
@@ -224,13 +221,18 @@ def _scan_grid(period: float, e_max: float, scan_step: float | None) -> np.ndarr
     grid = [-1.0]
     e = -1.0
     while e < e_max:
-        e = min(e + s0 * max(1.0, math.sqrt(max(e, 0.0) / e_ref)), e_max)
+        e_next = min(e + s0 * max(1.0, math.sqrt(max(e, 0.0) / e_ref)), e_max)
+        if e_next == e or len(grid) == _MAX_SCAN_POINTS:
+            raise PreconditionError(f"scan_step {s0} cannot reach e_max {e_max} "
+                                    f"within {_MAX_SCAN_POINTS} scan points")
+        e = e_next
         grid.append(e)
     return np.array(grid)
 
 
 def _bisect_edges(V0, brackets, steps):
-    """Resolve each sign-change bracket of D -/+ 2 to the edge tolerance."""
+    """Resolve each sign-change bracket of D -/+ 2 to the edge tolerance,
+    or to four float spacings where those are wider (E above 2^17)."""
     if not brackets:
         return []
     lo = np.array([b[0] for b in brackets])
@@ -238,7 +240,7 @@ def _bisect_edges(V0, brackets, steps):
     tgt = np.array([b[2] for b in brackets])  # +2.0 or -2.0
     m = _monodromy_batch(V0, lo, steps)
     flo = m[0, 0] + m[1, 1] - tgt
-    while np.max(hi - lo) > _EDGE_TOL:
+    while np.any(hi - lo > np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
         mid = 0.5 * (lo + hi)
         m = _monodromy_batch(V0, mid, steps)
         fmid = m[0, 0] + m[1, 1] - tgt
@@ -314,8 +316,8 @@ def band_edges_report(V0: PeriodicPotential, e_max: float,
     """
     if not e_max > 0:
         raise PreconditionError("e_max must be positive")
-    grid = _scan_grid(V0.period, e_max, scan_step)
     steps = default_steps(float(e_max + V0.sup_norm), V0.period)
+    grid = _scan_grid(V0.period, e_max, scan_step)
     m = _monodromy_batch(V0, grid, steps)
     disc = m[0, 0] + m[1, 1]
 

@@ -24,7 +24,7 @@ discretized model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .operators import SpectrumReport
 from .schatten import NormBundle
 
 RNG_FAMILY = "numpy.random.Generator/PCG64"
+_TREND_WINDOW, _TREND_FACTOR = 3, 4.0  # couplings compared, flagged spread
+_CHAIN_TOLERANCE = 1e-12  # relative slack of the link-1 check
 
 
 @dataclass
@@ -52,14 +54,7 @@ class LTReport:
     eigenvalue_count: int
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "lhs": self.lhs,
-            "rhs_structure": self.rhs_structure,
-            "empirical_ratio": self.empirical_ratio,
-            "parameters": self.parameters,
-            "eigenvalue_count": self.eigenvalue_count,
-        }
+        return asdict(self)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -307,21 +302,21 @@ def coupling_sweep(run_point, alphas) -> list[dict]:
     return rows
 
 
-def sweep_trend(rows: list[dict], window: int = 3, factor: float = 4.0) -> dict:
+def sweep_trend(rows: list[dict]) -> dict:
     """Flag departures of lhs/alpha^p from constancy over the smallest couplings.
 
     At weak coupling the sum scales like alpha^p, so the normalized column
-    should be flat; a spread beyond ``factor`` across the ``window``
-    smallest positive alphas is flagged (never silently passed).
+    should be flat; a spread of 4 or more across the 3 smallest positive
+    alphas is flagged (never silently passed).
     """
     rows_pos = sorted((r for r in rows if r["alpha"] > 0), key=lambda r: r["alpha"])
-    sample = [r["lhs_over_alpha_p"] for r in rows_pos[:window]]
+    sample = [r["lhs_over_alpha_p"] for r in rows_pos[:_TREND_WINDOW]]
     sample = [v for v in sample if np.isfinite(v) and v > 0]
     if len(sample) < 2:
-        return {"trend_ok": True, "trend_spread": math.nan, "window": window}
+        return {"trend_ok": True, "trend_spread": math.nan, "window": _TREND_WINDOW}
     spread = max(sample) / min(sample)
-    return {"trend_ok": bool(spread < factor), "trend_spread": spread,
-            "window": window, "factor": factor}
+    return {"trend_ok": bool(spread < _TREND_FACTOR), "trend_spread": spread,
+            "window": _TREND_WINDOW, "factor": _TREND_FACTOR}
 
 
 @dataclass
@@ -350,20 +345,7 @@ class ChainReport:
     parameters: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "omega": self.omega,
-            "omega1": self.omega1,
-            "link1_min_quotient": self.link1_min_quotient,
-            "link1_violations": self.link1_violations,
-            "link1_count": self.link1_count,
-            "link2_hansmann_ratio": self.link2_hansmann_ratio,
-            "link3_delta_r_norm": self.link3_delta_r_norm,
-            "link3_bound_structure": self.link3_bound_structure,
-            "link3_margin": self.link3_margin,
-            "lt_report": self.lt_report.to_json(),
-            "composite_constant": self.composite_constant,
-            "parameters": self.parameters,
-        }
+        return asdict(self)
 
 
 def default_omega(omega1: float) -> float:
@@ -376,8 +358,7 @@ def default_omega(omega1: float) -> float:
 def theorem1_chain(op_h0: operators.DiscretizedOperator,
                    op_h: operators.DiscretizedOperator,
                    report: SpectrumReport, nb: NormBundle,
-                   omega: float | None = None,
-                   tolerance: float = 1e-12) -> ChainReport:
+                   omega: float | None = None) -> ChainReport:
     """Audit the T1 derivation on an assembled (H0, H) pair.
 
     The spectrum report must be built against a band set valid for every
@@ -399,7 +380,7 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
         bound = np.atleast_1d(moebius.distortion_bound(zs, I, mob, "uniform"))
         quot = ratio / bound
         link1_min = float(np.min(quot))
-        link1_viol = int(np.sum(quot < 1.0 - tolerance))
+        link1_viol = int(np.sum(quot < 1.0 - _CHAIN_TOLERANCE))
     else:
         link1_min = math.inf
         link1_viol = 0

@@ -24,12 +24,12 @@ the bound, reporting any violations as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bandset
-from .bandset import BandSet
+from .bandset import BandSet, _interval_dist
 from .errors import NumericalError, PoleError, PreconditionError, ValidityCapError
 
 #: region codes used by the vectorized classifier
@@ -38,6 +38,13 @@ _BAND = 1
 _GAP = 2
 
 VARIANTS = ("halfplane", "gap", "uniform")
+
+#: per variant: admits[code] for the (halfplane, band, gap) region codes,
+#: and the admitted region in words
+_REGIONS = {"halfplane": (np.array([True, True, False]), "Re z < a_1 or Re z inside a band"),
+            "gap": (np.array([False, False, True]), "b_k < Re z < a_(k+1)"),
+            "uniform": (np.array([True, True, True]), "any Re z")}
+_SAMPLE_RADII = (1e-3, 1e3)  # modulus range of the default sampler
 
 
 @dataclass(frozen=True)
@@ -104,19 +111,13 @@ def dist_to_image(lam, image: MoebiusImage):
     accumulation point 0 when flagged.
     """
     ls = np.asarray(lam, dtype=complex)
-    x = np.atleast_1d(ls.real).ravel()
-    y = np.atleast_1d(ls.imag).ravel()
-    lo = np.array([p[0] for p in image.intervals])
-    hi = np.array([p[1] for p in image.intervals])
-    dx = np.maximum(lo[:, None] - x, x - hi[:, None])
-    np.maximum(dx, 0.0, out=dx)
-    d = np.min(np.hypot(dx, y), axis=0)
+    ivals = list(image.intervals)
     if image.ray_alpha is not None:
-        dxr = np.maximum(np.maximum(-x, x - image.ray_alpha), 0.0)
-        d = np.minimum(d, np.hypot(dxr, y))
+        ivals.append((0.0, image.ray_alpha))
     if image.accumulation_at_zero:
-        d = np.minimum(d, np.hypot(x, y))
-    d = d.reshape(ls.shape)
+        ivals.append((0.0, 0.0))
+    lo, hi = np.array(ivals, dtype=float).T
+    d = _interval_dist(ls.real, ls.imag, lo, hi)
     return float(d) if ls.ndim == 0 else d
 
 
@@ -169,16 +170,6 @@ def distortion_ratio(z, band_set: BandSet, mob: MoebiusMap):
     return num / denom
 
 
-def _gap_arrays(band_set: BandSet):
-    left = band_set.upper_edges()
-    right = list(band_set.lower_edges()[1:])
-    if band_set.terminal_ray:
-        right.append(band_set.ray_start)
-    else:
-        left = left[:-1]
-    return left[: len(right)], np.asarray(right)
-
-
 def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
     """Closed-form lower bound for the distortion ratio; z scalar or array.
 
@@ -194,20 +185,15 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
     q = np.abs(np.atleast_1d(zs).ravel() - mob.omega)
     codes, gap_idx = _region_codes(zs, band_set)
 
+    if not np.all(_REGIONS[variant][0][codes]):
+        raise PreconditionError(
+            f"variant {variant!r} admits only {_REGIONS[variant][1]}; "
+            "got a point outside that region"
+        )
     if variant == "halfplane":
-        if np.any(codes == _GAP):
-            raise PreconditionError(
-                "variant 'halfplane' admits only Re z < a_1 or Re z inside a band; "
-                "got a point in a gap"
-            )
         out = 1.0 / (3.0 * q * (q + band_set.a1 - mob.omega))
     elif variant == "gap":
-        if np.any(codes != _GAP):
-            raise PreconditionError(
-                "variant 'gap' admits only b_k < Re z < a_(k+1); "
-                "got a point in the half-plane or inside a band"
-            )
-        gl, gr = _gap_arrays(band_set)
+        gl, gr = bandset.gaps(band_set)
         b_k = gl[gap_idx]
         a_next = gr[gap_idx]
         out = 1.0 / (2.0 * q * q) / (1.0 + (a_next - b_k) / (b_k - mob.omega))
@@ -234,50 +220,35 @@ class VerificationReport:
     violations: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "omega": self.omega,
-            "samples": self.samples,
-            "rejected": self.rejected,
-            "min_quotient": self.min_quotient,
-            "tolerance": self.tolerance,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
-def _default_sampler(mob: MoebiusMap, rng: np.random.Generator, size: int,
-                     radius_range=(1e-3, 1e3)) -> np.ndarray:
+def _default_sampler(mob: MoebiusMap, rng: np.random.Generator,
+                     size: int) -> np.ndarray:
     """Log-uniform modulus around omega, uniform argument.
 
     The bounds degrade quadratically in |z - omega|, so log sampling
     exercises both ends of the range.
     """
-    lo, hi = np.log(radius_range[0]), np.log(radius_range[1])
+    lo, hi = np.log(_SAMPLE_RADII[0]), np.log(_SAMPLE_RADII[1])
     r = np.exp(rng.uniform(lo, hi, size))
     theta = rng.uniform(0.0, 2.0 * np.pi, size)
     return mob.omega + r * np.exp(1j * theta)
 
 
 def _region_filter(z: np.ndarray, band_set: BandSet, variant: str) -> np.ndarray:
-    """Keep z off the set, inside validity, and inside the variant's region."""
+    """Keep z off the set, inside validity, and inside the variant's region.
+
+    z is on the set exactly when it is real and its region code is a
+    band, so no distance is computed here.
+    """
     keep = np.isfinite(z)
-    x = z.real
     if not band_set.terminal_ray:
-        keep &= x <= band_set.validity_cap
-    sub = np.zeros_like(keep)
-    idx = np.where(keep)[0]
-    if idx.size:
-        zk = z[idx]
-        codes, _ = _region_codes(zk, band_set)
-        off_set = bandset.dist_to_bands(zk, band_set) > 0.0
-        if variant == "halfplane":
-            ok = off_set & (codes != _GAP)
-        elif variant == "gap":
-            ok = off_set & (codes == _GAP)
-        else:
-            ok = off_set
-        sub[idx] = ok
-    return sub
+        keep &= z.real <= band_set.validity_cap
+    zk = z[keep]
+    codes, _ = _region_codes(zk, band_set)
+    keep[keep] = ((codes != _BAND) | (zk.imag != 0.0)) & _REGIONS[variant][0][codes]
+    return keep
 
 
 def verify_distortion(

@@ -32,6 +32,7 @@ from .errors import (
 DENSE_SOLVER_CAP = 4000
 BOUNDARY_MARGIN = 5
 BOUNDARY_MASS_THRESHOLD = 0.5
+_INVERSE_ITERATIONS = 3
 
 
 @dataclass
@@ -231,8 +232,7 @@ def classify_discrete(eigs, band_set: BandSet, delta: float) -> SpectrumReport:
     )
 
 
-def _inverse_iteration_vector(op: DiscretizedOperator, z: complex,
-                              iterations: int = 3) -> np.ndarray:
+def _inverse_iteration_vector(op: DiscretizedOperator, z: complex) -> np.ndarray:
     """Approximate eigenvector at an already-computed eigenvalue z.
 
     Dirichlet matrices are tridiagonal, so each solve is O(N) banded;
@@ -265,7 +265,7 @@ def _inverse_iteration_vector(op: DiscretizedOperator, z: complex,
             solve = lambda rhs: scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
         v = b
         try:
-            for _ in range(iterations):
+            for _ in range(_INVERSE_ITERATIONS):
                 v = solve(v)
                 nrm = np.linalg.norm(v)
                 if not np.isfinite(nrm) or nrm == 0.0:
@@ -278,22 +278,21 @@ def _inverse_iteration_vector(op: DiscretizedOperator, z: complex,
     raise NumericalError(f"inverse iteration failed at z={z}: {last_exc}")
 
 
-def flag_boundary_artifacts(op: DiscretizedOperator, report: SpectrumReport,
-                            margin: int = BOUNDARY_MARGIN,
-                            mass_threshold: float = BOUNDARY_MASS_THRESHOLD,
-                            ) -> SpectrumReport:
+def flag_boundary_artifacts(op: DiscretizedOperator,
+                            report: SpectrumReport) -> SpectrumReport:
     """Mark discrete candidates whose eigenvector mass hugs the box ends.
 
     Finite Dirichlet boxes create spurious gap eigenvalues localized at
-    the walls; anything with more than half its mass within ``margin``
-    grid points of either end is excluded from downstream sums.
+    the walls; anything with more than half its mass within
+    ``BOUNDARY_MARGIN`` grid points of either end is excluded from
+    downstream sums.
     """
     flagged = []
     for z in report.discrete_candidates:
         vec = _inverse_iteration_vector(op, complex(z))
         mass = np.abs(vec) ** 2
-        edge = float(mass[:margin].sum() + mass[-margin:].sum())
-        if edge > mass_threshold * float(mass.sum()):
+        edge = float(mass[:BOUNDARY_MARGIN].sum() + mass[-BOUNDARY_MARGIN:].sum())
+        if edge > BOUNDARY_MASS_THRESHOLD * float(mass.sum()):
             flagged.append(z)
     return SpectrumReport(
         eigenvalues=report.eigenvalues,

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from bandlt import bandset, cli, hill, operators
-from bandlt.errors import EXIT_CONFIG, EXIT_HYPOTHESIS
+from bandlt.errors import EXIT_CONFIG, EXIT_HYPOTHESIS, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,62 @@ class TestConfigHandling:
         assert status == EXIT_CONFIG
         assert "grid.points" in result["error"]
 
+    def test_v0_spec_dispatch(self):
+        def potential(v0):
+            return cli._potential(cli.Cfg({"v0": v0}))
+
+        assert potential({"type": "free", "period": 2.0}).period == 2.0
+        V = potential({"type": "cos", "q": 1.5})
+        assert V.sup_norm == 3.0
+        V = potential({"type": "samples", "period": 1.0, "values": [0.0, 1.0, 0.0, 1.0]})
+        assert V.period == 1.0
+        with pytest.raises(ValidationError):
+            potential({"type": "sawtooth"})
+
+    @pytest.mark.parametrize("command, edit, field", [
+        ("distort", lambda d: d["bands"].update(file="/nonexistent/I.json"), "bands.file"),
+        ("distort", "not-json", "bands.file"),
+        ("sweep", lambda d: d.update(alphas=["a"]), "alphas[0]"),
+        ("sweep", lambda d: d.update(alphas=[1.0, None]), "alphas[1]"),
+        ("ltcheck", lambda d: d.update(theorem="T3", a_values="x"), "a_values"),
+        ("bands", lambda d: d.update(bands={"e_max": 10**400}), "bands.e_max"),
+        ("bands", lambda d: d.update(v0={"type": "cos"}), "v0.q"),
+        ("bands", lambda d: d.update(v0={"type": "cos", "q": "x"}), "v0.q"),
+        ("spectrum", lambda d: d["v"].update(amplitude=["a", 1]), "v.amplitude[0]"),
+    ], ids=["file-missing", "file-not-json", "alpha-string", "alpha-null",
+            "a_values-string", "e_max-int-overflow", "q-missing", "q-string",
+            "amplitude-string"])
+    def test_malformed_field_exits_2(self, tmp_path, bands_file, command, edit, field):
+        doc = spectrum_config(bands_file, theorem="T1", alphas=[1.0],
+                              distort={"omega": -0.5, "samples": 10})
+        doc["grid"]["points"] = 60
+        if edit == "not-json":
+            bad = tmp_path / "I.json"
+            bad.write_text("{bands: [[1, 2]]")
+            doc["bands"] = {"file": str(bad)}
+        else:
+            edit(doc)
+        if command == "bands" and "e_max" not in doc["bands"]:
+            doc["bands"] = {"e_max": 2.0}
+        status, result = cli.run(doc, command=command, out_dir=str(tmp_path))
+        assert status == EXIT_CONFIG, result
+        assert field in result["error"]
+
+    @pytest.mark.parametrize("bands, words", [
+        ({"e_max": 9.0, "scan_step": 1e-20}, "scan points"),
+        ({"e_max": 9.0, "scan_step": 1e-9}, "scan points"),
+        ({"e_max": 1e12}, "RK4 steps"),
+    ], ids=["step-stalls", "too-many-points", "too-many-steps"])
+    def test_hill_refuses_unbounded_work(self, monkeypatch, bands, words):
+        def refuse(*args, **kwargs):
+            raise AssertionError("monodromy integrated despite the refusal")
+
+        monkeypatch.setattr(hill, "_monodromy_batch", refuse)
+        doc = {"v0": {"type": "cos", "q": 1.0, "period": 2 * math.pi}, "bands": bands}
+        status, result = cli.run(doc, command="bands")
+        assert status == EXIT_CONFIG
+        assert words in result["error"]
+
     def test_yaml_file_loading(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({"command": "bands",
@@ -121,6 +177,27 @@ class TestDistortCommand:
         assert result["violations"] == []
         assert result["min_quotient"] >= 1.0 - 1e-12
 
+
+    def test_one_distance_pass(self, tmp_path, monkeypatch):
+        # rejection batches decide "on the set" from region codes; the only
+        # distance pass is the ratio over the accepted points
+        calls = []
+        dist = bandset.dist_to_bands
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dist(*args, **kwargs)
+
+        monkeypatch.setattr(bandset, "dist_to_bands", counted)
+        bands_file = tmp_path / "I.json"
+        bands_file.write_text(json.dumps(bandset.to_json(
+            bandset.validate([(1, 2), (3, 4), (6, 8)]))))
+        doc = {"bands": {"file": str(bands_file)},
+               "distort": {"omega": -0.5, "variant": "gap", "samples": 20_000}}
+        status, result = cli.run(doc, command="distort", seed=3)
+        assert status == 0
+        assert result["rejected"] > 0
+        assert len(calls) == 1
 
     def test_hill_path_honours_scan_step(self, monkeypatch):
         seen = []

@@ -35,17 +35,6 @@ class TestPotentials:
         probe = np.array([0.1, 1.7, 5.0])
         assert np.allclose(V.evaluate(probe), 1.0 + np.cos(probe), atol=1e-3)
 
-    def test_spec_dispatch(self):
-        assert hill.potential_from_spec({"type": "free", "period": 2.0}).period == 2.0
-        V = hill.potential_from_spec({"type": "cos", "q": 1.5})
-        assert V.sup_norm == 3.0
-        V = hill.potential_from_spec(
-            {"type": "samples", "period": 1.0, "values": [0.0, 1.0, 0.0, 1.0]}
-        )
-        assert V.period == 1.0
-        with pytest.raises(ValidationError):
-            hill.potential_from_spec({"type": "sawtooth"})
-
 
 class TestMonodromy:
     def test_free_zero_energy(self):
@@ -159,3 +148,19 @@ class TestBandEdges:
         for b, a_next in zip(hi[:-1], lo[1:]):
             inner = np.linspace(b + 1e-8, a_next - 1e-8, 60)
             assert np.all(np.abs(hill.discriminant(V0, inner)) > 2.0 - 1e-12)
+
+    def test_bisection_stops_at_float_resolution(self, monkeypatch):
+        # edges near 9e5 sit where one float spacing exceeds the 1e-10
+        # edge tolerance; a tolerance-only stop bisects forever there
+        calls = []
+        batch = hill._monodromy_batch
+
+        def bounded(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 100:
+                raise AssertionError("edge bisection did not stop")
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(hill, "_monodromy_batch", bounded)
+        I = hill.band_edges(hill.from_samples([0.0, 2e4], 0.01), 1.2e6)
+        assert I.edges[-1][0] > 2.0**19

@@ -233,6 +233,25 @@ class TestVerifyDistortion:
                 n=10, rng=rng, sampler=bad_sampler, max_attempts=50_000,
             )
 
+    @pytest.mark.parametrize("ray", [False, True])
+    def test_off_set_mask_matches_distance(self, rng, ray):
+        I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
+        edges = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 8.0] + ([10.0] if ray else []))
+        real_axis = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            rng.uniform(-2.0, 14.0, 2000),  # half-plane, bands, gaps, ray
+        ])
+        z = np.concatenate([
+            real_axis + 0j,
+            edges + 1e-300j,
+            rng.uniform(-2.0, 14.0, 2000) + 1j * rng.normal(0.0, 1.0, 2000),
+        ])
+        keep = moebius._region_filter(z, I, "uniform")
+        valid = np.isfinite(z) & (ray or z.real <= I.validity_cap)
+        assert np.array_equal(keep[valid], bandset.dist_to_bands(z[valid], I) > 0.0)
+        assert not np.any(keep[~valid])
+        assert 0 < keep.sum() < z.size
+
     def test_report_json_shape(self, three_bands, rng):
         report = moebius.verify_distortion(
             three_bands, moebius.MoebiusMap(-0.5), "uniform", n=100, rng=rng
