@@ -39,6 +39,8 @@ from .errors import BandLTError, ConfigError, exit_code_for
 
 COMMANDS = ("bands", "distort", "spectrum", "ltcheck", "hansmann", "sweep")
 THEOREMS = ("T1", "T1simplified", "T2", "T3")
+_MAX_SAMPLES = 10**7  # distort.samples; the sampler may draw 2000 per sample
+_MAX_TRIALS = 10**4  # hansmann.trials; each trial is a dense n x n eigensolve
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +104,18 @@ class Cfg:
         """None for 'auto' (the default), else the number at ``key``."""
         return None if self.doc.get(key, "auto") == "auto" else self.number(key)
 
-    def integer(self, key: str, default=None, required: bool = False):
+    def integer(self, key: str, default=None, required: bool = False,
+                lo: int | None = None, hi: int | None = None):
+        """The integer at ``key``, refused outside the inclusive [lo, hi]."""
         present, val = self._field(key, default, required)
         if not present:
             return val
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"'{self._path(key)}' must be an integer")
+        if lo is not None and val < lo:
+            raise ConfigError(f"'{self._path(key)}' = {val} is below the minimum {lo}")
+        if hi is not None and val > hi:
+            raise ConfigError(f"'{self._path(key)}' = {val} exceeds the cap {hi}")
         return int(val)
 
     def string(self, key: str, default=None, choices=None, required: bool = False):
@@ -228,10 +236,7 @@ def build_background(cfg: Cfg) -> Background:
         length = grid.number("length", required=True)
     else:
         length = grid.number("periods", required=True) * v0.period
-    n = grid.integer("points", required=True)
-    if n > operators.DENSE_SOLVER_CAP:
-        raise ConfigError(f"'grid.points' = {n} exceeds the dense-solver cap "
-                          f"{operators.DENSE_SOLVER_CAP}")
+    n = grid.integer("points", required=True, hi=operators.DENSE_SOLVER_CAP)
     boundary = grid.string("boundary", default="dirichlet",
                            choices=("dirichlet", "periodic"))
     h, x = operators.grid_nodes(length, n, boundary)
@@ -415,7 +420,7 @@ def cmd_distort(cfg: Cfg, seed, outputs) -> dict:
         moebius.MoebiusMap(d.number("omega", required=True)),
         variant=d.string("variant", default="uniform",
                          choices=moebius.VARIANTS),
-        n=d.integer("samples", default=10_000),
+        n=d.integer("samples", default=10_000, lo=1, hi=_MAX_SAMPLES),
         rng=rng,
     )
     doc = report.to_json()
@@ -487,8 +492,8 @@ def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
     h = cfg.sub("hansmann")
     rng = np.random.default_rng(seed)
     report = ltsums.hansmann_ensemble(
-        n=h.integer("n", default=50),
-        trials=h.integer("trials", default=100),
+        n=h.integer("n", default=50, lo=2, hi=operators.DENSE_SOLVER_CAP),
+        trials=h.integer("trials", default=100, lo=1, hi=_MAX_TRIALS),
         p=h.number("p", default=2.0),
         perturbation_scale=h.number("scale", default=0.5),
         rng=rng,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from bandlt import bandset, cli, hill, operators
-from bandlt.errors import EXIT_CONFIG, EXIT_HYPOTHESIS, ValidationError
+from bandlt import bandset, cli, hill, ltsums, moebius, operators
+from bandlt.errors import EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,39 @@ class TestConfigHandling:
         status, result = cli.run(doc, command="spectrum", out_dir=str(tmp_path))
         assert status == EXIT_CONFIG
         assert "grid.points" in result["error"]
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("distort", "samples", -5),
+        ("distort", "samples", 0),
+        ("distort", "samples", 10**7 + 1),
+        ("hansmann", "trials", -3),
+        ("hansmann", "trials", 0),
+        ("hansmann", "trials", 10**4 + 1),
+        ("hansmann", "n", 1),
+        ("hansmann", "n", operators.DENSE_SOLVER_CAP + 1),
+    ], ids=["samples-negative", "samples-zero", "samples-over-cap", "trials-negative",
+            "trials-zero", "trials-over-cap", "n-one", "n-over-cap"])
+    def test_count_out_of_range_refused_before_work(self, monkeypatch, bands_file,
+                                                    command, field, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran despite an out-of-range count")
+
+        monkeypatch.setattr(moebius, "verify_distortion", refuse)
+        monkeypatch.setattr(ltsums, "hansmann_ensemble", refuse)
+        doc = {"bands": {"file": bands_file}, "distort": {"omega": -0.5},
+               "hansmann": {"p": 2.0, "scale": 0.5}}
+        doc[command][field] = value
+        status, result = cli.run(doc, command=command)
+        assert status == EXIT_CONFIG
+        assert f"{command}.{field}" in result["error"]
+
+    def test_integer_range_is_inclusive(self):
+        cfg = cli.Cfg({"k": 5}, "s")
+        assert cfg.integer("k", lo=5, hi=5) == 5
+        with pytest.raises(ConfigError, match="'s.k' = 5 is below the minimum 6"):
+            cfg.integer("k", lo=6)
+        with pytest.raises(ConfigError, match="'s.k' = 5 exceeds the cap 4"):
+            cfg.integer("k", hi=4)
 
     def test_v0_spec_dispatch(self):
         def potential(v0):

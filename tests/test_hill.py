@@ -157,10 +157,124 @@ class TestBandEdges:
 
         def bounded(*args, **kwargs):
             calls.append(1)
-            if len(calls) > 100:
+            if len(calls) > 15:
                 raise AssertionError("edge bisection did not stop")
             return batch(*args, **kwargs)
 
         monkeypatch.setattr(hill, "_monodromy_batch", bounded)
         I = hill.band_edges(hill.from_samples([0.0, 2e4], 0.01), 1.2e6)
         assert I.edges[-1][0] > 2.0**19
+
+    @pytest.mark.parametrize("q, e_max, most", [(2.0, 9.0, 10), (1.0, 4.0, 8)],
+                             ids=["mathieu-q2", "cos-q1"])
+    def test_sweep_count(self, monkeypatch, q, e_max, most):
+        # one sweep evaluates several bracketing rounds; the reference
+        # loops below, one round per sweep, need 35 (q = 2) and 30 (q = 1)
+        calls = []
+        batch = hill._monodromy_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(hill, "_monodromy_batch", counted)
+        hill.band_edges_report(hill.cosine(q), e_max)
+        assert len(calls) <= most
+
+
+def _reference_bisect_edges(V0, brackets, steps):
+    """One bisection round per sweep, with a sweep at the bracket starts."""
+    if not brackets:
+        return []
+    lo = np.array([b[0] for b in brackets])
+    hi = np.array([b[1] for b in brackets])
+    tgt = np.array([b[2] for b in brackets])
+    m = hill._monodromy_batch(V0, lo, steps)
+    flo = m[0, 0] + m[1, 1] - tgt
+    while np.any(hi - lo > np.maximum(hill._EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
+        mid = 0.5 * (lo + hi)
+        m = hill._monodromy_batch(V0, mid, steps)
+        fmid = m[0, 0] + m[1, 1] - tgt
+        left = (flo * fmid) > 0.0
+        lo = np.where(left, mid, lo)
+        flo = np.where(left, fmid, flo)
+        hi = np.where(left, hi, mid)
+    return list(0.5 * (lo + hi))
+
+
+def _reference_bump_brackets(V0, grid, disc, crossing_cells, steps):
+    """One golden-section round per sweep."""
+    absd = np.abs(disc)
+    interior = np.arange(1, grid.size - 1)
+    is_max = (absd[interior] >= absd[interior - 1]) & (absd[interior] >= absd[interior + 1])
+    near_two = (absd[interior] > 1.95) & (absd[interior] <= 2.0)
+    clean = np.array([(i - 1 not in crossing_cells) and (i not in crossing_cells)
+                      for i in interior])
+    cand = interior[is_max & near_two & clean]
+    if cand.size == 0:
+        return [], 0
+    lo = grid[cand - 1].astype(float)
+    hi = grid[cand + 1].astype(float)
+    lo0, hi0 = lo.copy(), hi.copy()
+    phi = 0.5 * (math.sqrt(5.0) - 1.0)
+    best_e = grid[cand].astype(float)
+    best_f = disc[cand].copy()
+    for _ in range(45):
+        unresolved = np.abs(best_f) <= 2.0
+        if not np.any(unresolved) or np.max(hi - lo) < 1e-10 * (1.0 + np.max(np.abs(hi))):
+            break
+        m1 = hi - phi * (hi - lo)
+        m2 = lo + phi * (hi - lo)
+        mm = hill._monodromy_batch(V0, np.concatenate([m1, m2]), steps)
+        d = mm[0, 0] + mm[1, 1]
+        f1, f2 = d[: m1.size], d[m1.size:]
+        take1 = np.abs(f1) >= np.abs(f2)
+        hi = np.where(take1, m2, hi)
+        lo = np.where(take1, lo, m1)
+        e_new = np.where(take1, m1, m2)
+        f_new = np.where(take1, f1, f2)
+        better = np.abs(f_new) > np.abs(best_f)
+        best_e = np.where(better, e_new, best_e)
+        best_f = np.where(better, f_new, best_f)
+    brackets = []
+    opened = np.abs(best_f) > 2.0
+    for e_star, f_star, a, b in zip(best_e[opened], best_f[opened], lo0[opened], hi0[opened]):
+        tgt = 2.0 if f_star > 0 else -2.0
+        brackets.append((float(a), float(e_star), tgt))
+        brackets.append((float(e_star), float(b), tgt))
+    return brackets, int(cand.size)
+
+
+class TestSpeculativeRounds:
+    def test_batch_independence(self):
+        # several rounds share one sweep only because an energy's
+        # monodromy has the same bits alone and inside any batch
+        V = hill.cosine(2.0)
+        steps = hill.default_steps(13.0, V.period)
+        probes = np.array([-1.0, 0.5, 0.932, 2.0, 2.6, 3.0, 4.0, 5.0, 8.3345, 9.0])
+        alone = [hill._monodromy_batch(V, probes[k:k + 1], steps)[:, :, 0]
+                 for k in range(probes.size)]
+        rng = np.random.default_rng(3)
+        for size in (probes.size, 23, 37):
+            batch = rng.uniform(-1.0, 9.0, size)
+            # the last lane, past any full SIMD block, holds the last probe
+            where = np.append(rng.permutation(size - 1)[: probes.size - 1], size - 1)
+            batch[where] = probes
+            mixed = hill._monodromy_batch(V, batch, steps)
+            for k, j in enumerate(where):
+                assert mixed[:, :, j].tobytes() == alone[k].tobytes(), (probes[k], size)
+
+    @pytest.mark.parametrize("V0, e_max", [
+        (hill.cosine(2.0), 9.0),
+        (hill.cosine(1.0), 12.0),
+        (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
+    ], ids=["mathieu-q2", "cos-q1-three-bumps", "float-resolution"])
+    def test_edges_bit_identical_to_one_round_per_sweep(self, monkeypatch, V0, e_max):
+        I, meta = hill.band_edges_report(V0, e_max)
+        with monkeypatch.context() as m:
+            m.setattr(hill, "_bisect_edges", _reference_bisect_edges)
+            m.setattr(hill, "_bump_brackets", _reference_bump_brackets)
+            I_ref, meta_ref = hill.band_edges_report(V0, e_max)
+        assert meta["bump_refinements"] > 0  # the golden-section chase ran
+        assert np.array_equal(I.edges, I_ref.edges)
+        assert meta == meta_ref
