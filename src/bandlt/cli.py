@@ -118,6 +118,13 @@ class Cfg:
             raise ConfigError(f"'{self._path(key)}' = {val} exceeds the cap {hi}")
         return int(val)
 
+    def boolean(self, key: str, default: bool) -> bool:
+        """The true/false at ``key``; strings and numbers are refused."""
+        present, val = self._field(key, default, False)
+        if present and not isinstance(val, bool):
+            raise ConfigError(f"'{self._path(key)}' must be true or false")
+        return val
+
     def string(self, key: str, default=None, choices=None, required: bool = False):
         present, val = self._field(key, default, required)
         if not present:
@@ -243,7 +250,7 @@ def build_background(cfg: Cfg) -> Background:
 
     I, _ = _band_set(cfg, v0)
     bands_cfg = cfg.sub("bands")
-    if not bands_cfg.has("file") and bands_cfg.raw("close_with_ray", True):
+    if bands_cfg.boolean("close_with_ray", True) and not bands_cfg.has("file"):
         I = bandset.close_with_ray(I)
 
     exps = cfg.sub("exponents", required=False)
@@ -497,7 +504,7 @@ def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
         p=h.number("p", default=2.0),
         perturbation_scale=h.number("scale", default=0.5),
         rng=rng,
-        diagonal=bool(h.raw("diagonal", False)),
+        diagonal=h.boolean("diagonal", False),
     )
     doc = report.to_json()
     if "json" in outputs:

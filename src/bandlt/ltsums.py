@@ -363,7 +363,15 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
 
     The spectrum report must be built against a band set valid for every
     eigenvalue (close it with a terminal ray when it was truncated).
+    H and H0 must share the grid and differ by a diagonal D = H - H0 (a
+    multiplication operator), so R(omega,H) - R(omega,H0) has rank |supp D|.
     """
+    if (op_h.size, op_h.spacing, op_h.boundary) != (op_h0.size, op_h0.spacing, op_h0.boundary):
+        raise PreconditionError("H and H0 must share the grid size, spacing and boundary")
+    d = op_h.matrix - op_h0.matrix
+    supp, cols = d.nonzero()
+    if np.any(supp != cols):
+        raise PreconditionError("H - H0 must be diagonal (a multiplication operator)")
     I = report.band_set
     omega1 = operators.numerical_range_abscissa(op_h)
     if omega is None:
@@ -385,10 +393,11 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
         link1_min = math.inf
         link1_viol = 0
 
-    r_h = operators.resolvent(op_h, omega)
-    r_h0 = operators.resolvent(op_h0, omega)
-    delta_r = r_h - r_h0
-    delta_r_norm = schatten.schatten_norm(delta_r, nb.p)
+    # dR = -R(H)[:, S] D_S R(H0)[:, S]^T, as R(omega, H0) is symmetric; the
+    # unitary factors of two thin QRs drop out of the singular values
+    r_h = np.linalg.qr(operators.resolvent(op_h, omega, supp), mode="r")
+    r_h0 = np.linalg.qr(operators.resolvent(op_h0, omega, supp), mode="r")
+    delta_r_norm = schatten.schatten_norm(r_h @ (d.diagonal()[supp, None] * r_h0.T), nb.p)
 
     lam = 1.0 / (operators.eigenvalues(op_h) - omega)
     cloud0 = 1.0 / (operators.eigenvalues(op_h0) - omega)

@@ -3,15 +3,15 @@
 The 3-point stencil gives a tridiagonal kinetic part (2, -1, -1)/h^2
 (Dirichlet) with corner couplings added for periodic ends.  Potentials
 enter as diagonal samples on the grid nodes, so the model matrix is
-exactly kinetic + diag(V0) + diag(V).  With V = 0 the matrix is real
-symmetric; complex V makes it complex symmetric (non-normal), which is
-the whole point.
+exactly kinetic + diag(V0) + diag(V), stored as a sparse CSC matrix.
+With V = 0 the matrix is real symmetric; complex V makes it complex
+symmetric (non-normal), which is the whole point.
 
-Eigenvalues come from a dense general solver and are cached on the
-operator; spectra are classified against a band set by a distance
-threshold, with finite-box edge states flagged via eigenvector mass near
-the boundary (computed by banded inverse iteration, not a second dense
-decomposition).
+Eigenvalues (cached, then classified against a band set by a distance
+threshold) and the numerical-range abscissa come from dense LAPACK on
+``matrix.toarray()``.  Everything else uses one sparse LU of A - z:
+resolvent columns, and the inverse iteration that flags finite-box edge
+states by eigenvector mass near the boundary.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .bandset import BandSet, dist_to_bands
 from .errors import (
@@ -47,7 +48,7 @@ class DiscretizedOperator:
     spacing: float
     length: float
     boundary: str
-    matrix: np.ndarray
+    matrix: scipy.sparse.csc_array
     v0_samples: np.ndarray
     v_samples: np.ndarray
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
@@ -92,7 +93,7 @@ def _as_samples(values, n: int, name: str) -> np.ndarray:
 
 
 def discretize(v0, v, length: float, n: int, boundary: str = "dirichlet") -> DiscretizedOperator:
-    """Assemble the N x N model matrix.
+    """Assemble the N x N tridiagonal model matrix (sparse CSC).
 
     ``v0`` must be nonnegative samplewise (background hypothesis); ``v``
     may be complex.  Scalars broadcast.  The grid is that of
@@ -111,19 +112,14 @@ def discretize(v0, v, length: float, n: int, boundary: str = "dirichlet") -> Dis
     complex_v = np.iscomplexobj(v_arr) and np.any(v_arr.imag != 0.0)
     v_arr = v_arr.astype(complex) if complex_v else v_arr.real.astype(float)
 
-    dtype = complex if complex_v else float
-    m = np.zeros((n, n), dtype=dtype)
-    idx = np.arange(n)
-    m[idx, idx] = 2.0 / h**2
-    m[idx[:-1], idx[:-1] + 1] = -1.0 / h**2
-    m[idx[:-1] + 1, idx[:-1]] = -1.0 / h**2
-    if boundary == "periodic":
-        m[0, -1] += -1.0 / h**2
-        m[-1, 0] += -1.0 / h**2
+    off = np.full(n - 1, -1.0 / h**2)
     # add the diagonals one at a time so matrix == kinetic + diag(V0) + diag(V)
     # holds bit-exactly (float addition is not associative)
-    m[idx, idx] += v0_arr
-    m[idx, idx] += v_arr
+    diagonals, offsets = [off, (2.0 / h**2 + v0_arr) + v_arr, off], [-1, 0, 1]
+    if boundary == "periodic":
+        diagonals, offsets = diagonals + [off[:1], off[:1]], offsets + [1 - n, n - 1]
+    m = scipy.sparse.csc_array(scipy.sparse.diags(
+        diagonals, offsets, shape=(n, n), dtype=complex if complex_v else float))
     return DiscretizedOperator(
         size=n, spacing=h, length=float(length), boundary=boundary,
         matrix=m, v0_samples=v0_arr, v_samples=v_arr,
@@ -139,7 +135,7 @@ def eigenvalues(op: DiscretizedOperator, dense_cap: int = DENSE_SOLVER_CAP) -> n
             f"N={op.size} exceeds the dense-solver cap {dense_cap}"
         )
     try:
-        vals = np.linalg.eigvals(op.matrix)
+        vals = np.linalg.eigvals(op.matrix.toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
     op._eigenvalues = np.asarray(vals, dtype=complex)
@@ -152,34 +148,45 @@ def numerical_range_abscissa(op: DiscretizedOperator) -> float:
     This is the leftmost real part of the matrix numerical range, so the
     whole spectrum sits in {Re z >= omega_1}.
     """
-    herm = 0.5 * (op.matrix + op.matrix.conj().T)
+    m = op.matrix.toarray()
+    herm = 0.5 * (m + m.conj().T)
     try:
         return float(np.linalg.eigvalsh(herm)[0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
 
 
-def resolvent(op: DiscretizedOperator, z: complex) -> np.ndarray:
-    """(A - z)^(-1) by factorized solves against the identity.
+def _shifted_lu(op: DiscretizedOperator, z: complex):
+    """A - z in CSC form and its sparse LU; a singular factor raises."""
+    a = scipy.sparse.csc_array(op.matrix - z * scipy.sparse.identity(op.size),
+                               dtype=complex)
+    try:
+        return a, scipy.sparse.linalg.splu(a)
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse LU of A - z failed at z={z}: {exc}") from exc
+
+
+def resolvent(op: DiscretizedOperator, z: complex, cols) -> np.ndarray:
+    """Columns ``cols`` of (A - z)^(-1), an N x len(cols) array.
 
     Refuses shifts within 1e-8 of the spectrum (the error reports the
     nearest eigenvalue distance) and checks the max-norm residual of the
-    product afterwards, scaled by the conditioning of the solve.
+    solved columns afterwards, scaled by the conditioning of the solve.
     """
     gap = float(np.min(np.abs(eigenvalues(op) - z)))
     if gap < 1e-8:
         raise NumericalError(
             f"shift z={z} is {gap:.3e} from the spectrum; resolvent refused"
         )
-    a = op.matrix.astype(complex) - z * np.eye(op.size)
-    try:
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-        r = scipy.linalg.lu_solve((lu, piv), np.eye(op.size, dtype=complex),
-                                  check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"resolvent solve failed: {exc}") from exc
-    residual = np.max(np.abs(a @ r - np.eye(op.size)))
-    scale = max(1.0, np.max(np.abs(a)) * np.max(np.abs(r)))
+    a, lu = _shifted_lu(op, z)
+    unit = scipy.sparse.identity(op.size, dtype=complex, format="csc")[:, cols]
+    # C order (a @ r would copy a Fortran-ordered r) and the residual
+    # A r - I[:, cols] formed in place: no further N x len(cols) temporaries
+    r = np.ascontiguousarray(lu.solve(unit.toarray()))
+    scale = max(1.0, np.max(np.abs(a.data)) * np.max(np.abs(r), initial=0.0))
+    res = a @ r
+    res[cols, np.arange(r.shape[1])] -= 1.0
+    residual = np.max(np.abs(res, out=res).real, initial=0.0)
     if residual > 1e-8 * scale:
         raise NumericalError(
             f"resolvent residual {residual:.3e} exceeds condition-scaled tolerance"
@@ -235,46 +242,28 @@ def classify_discrete(eigs, band_set: BandSet, delta: float) -> SpectrumReport:
 def _inverse_iteration_vector(op: DiscretizedOperator, z: complex) -> np.ndarray:
     """Approximate eigenvector at an already-computed eigenvalue z.
 
-    Dirichlet matrices are tridiagonal, so each solve is O(N) banded;
-    periodic corners fall back to a dense factorization.  The shift gets
-    a growing jitter when z sits exactly on the spectrum and the solve
-    comes back singular.
+    Each solve reuses one sparse LU of A - shift, O(N) for the tridiagonal
+    models.  The shift gets a growing jitter when z sits exactly on the
+    spectrum and the factorization comes back singular.
     """
-    n = op.size
     rng = np.random.default_rng(12345)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
     b /= np.linalg.norm(b)
     last_exc: Exception | None = None
     for jitter in (0.0, 1e-11, 1e-8, 1e-6):
         shift = z + jitter * (1.0 + abs(z)) * (1.0 + 1.0j)
-        if op.boundary == "dirichlet":
-            a = op.matrix.astype(complex)
-            ab = np.zeros((3, n), dtype=complex)
-            ab[0, 1:] = np.diagonal(a, 1)
-            ab[1, :] = np.diagonal(a) - shift
-            ab[2, :-1] = np.diagonal(a, -1)
-            solve = lambda rhs: scipy.linalg.solve_banded(
-                (1, 1), ab, rhs, check_finite=False)
-        else:
-            a = op.matrix.astype(complex) - shift * np.eye(n)
-            try:
-                lu_piv = scipy.linalg.lu_factor(a, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                last_exc = exc
-                continue
-            solve = lambda rhs: scipy.linalg.lu_solve(lu_piv, rhs, check_finite=False)
         v = b
         try:
+            _, lu = _shifted_lu(op, shift)
             for _ in range(_INVERSE_ITERATIONS):
-                v = solve(v)
+                v = lu.solve(v)
                 nrm = np.linalg.norm(v)
                 if not np.isfinite(nrm) or nrm == 0.0:
                     raise NumericalError(f"inverse iteration diverged at z={z}")
                 v = v / nrm
             return v
-        except (scipy.linalg.LinAlgError, ValueError, NumericalError) as exc:
+        except NumericalError as exc:
             last_exc = exc
-            continue
     raise NumericalError(f"inverse iteration failed at z={z}: {last_exc}")
 
 

@@ -179,11 +179,13 @@ class WSmallnessReport:
 
 def w_smallness_check(op_h0: operators.DiscretizedOperator, v_samples,
                       z: complex, nb: NormBundle) -> WSmallnessReport:
-    """Build W(z) on the model and report whether it is a contraction."""
+    """Measure W(z) from its |supp V| nonzero rows (the symmetric R(z, H0)
+    gives rows as columns) and report whether it is a contraction."""
     v = np.asarray(v_samples).reshape(-1)
     if v.shape != (op_h0.size,):
         raise ValidationError("V samples must match the grid size")
-    w = v[:, None] * operators.resolvent(op_h0, z)
+    supp = np.flatnonzero(v)
+    w = v[supp, None] * operators.resolvent(op_h0, z, supp).T
     op_norm = float(np.linalg.norm(w, 2))
     sp_norm = schatten_norm(w, nb.p)
     return WSmallnessReport(

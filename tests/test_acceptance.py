@@ -198,8 +198,8 @@ def test_criterion_08_resolvent_identities():
     h0 = operators.discretize(v0, 0.0, length=50.0, n=n)
     h = operators.discretize(v0, v, length=50.0, n=n)
     z = -2.0 + 0.5j
-    r0 = operators.resolvent(h0, z)
-    r1 = operators.resolvent(h, z)
+    r0 = operators.resolvent(h0, z, range(n))
+    r1 = operators.resolvent(h, z, range(n))
     identity_residual = float(np.max(np.abs((r1 - r0) + r1 @ np.diag(v) @ r0)))
 
     bound_ok = True

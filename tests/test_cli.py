@@ -110,6 +110,35 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="'s.k' = 5 exceeds the cap 4"):
             cfg.integer("k", hi=4)
 
+    @pytest.mark.parametrize("value, status", [
+        ("false", EXIT_CONFIG), (0, EXIT_CONFIG), (True, 0), (False, 0),
+    ], ids=["string", "int", "true", "false"])
+    def test_hansmann_diagonal_is_a_boolean(self, value, status):
+        doc = {"hansmann": {"n": 5, "trials": 3, "diagonal": value}}
+        got, result = cli.run(doc, command="hansmann", seed=1)
+        assert got == status, result
+        if status == EXIT_CONFIG:
+            assert "hansmann.diagonal" in result["error"]
+        else:
+            assert result["diagonal"] is value
+
+    @pytest.mark.parametrize("value, status", [
+        ("no", EXIT_CONFIG), (0, EXIT_CONFIG), (True, 0), (False, 0),
+    ], ids=["string", "int", "true", "false"])
+    def test_close_with_ray_is_a_boolean(self, tmp_path, monkeypatch, value, status):
+        two_bands = bandset.validate([(0.5, 1.0), (1.5, 3.0)])
+        monkeypatch.setattr(hill, "band_edges_report", lambda *a, **k: (two_bands, {}))
+        doc = spectrum_config(None, output={})
+        doc["grid"]["points"] = 60
+        doc["bands"] = {"e_max": 3.0, "close_with_ray": value}
+        got, result = cli.run(doc, command="spectrum", out_dir=str(tmp_path))
+        assert got == status, result
+        if status == EXIT_CONFIG:
+            assert "bands.close_with_ray" in result["error"]
+        else:
+            expect = bandset.close_with_ray(two_bands) if value else two_bands
+            assert result["band_set"] == bandset.to_json(expect)
+
     def test_v0_spec_dispatch(self):
         def potential(v0):
             return cli._potential(cli.Cfg({"v0": v0}))

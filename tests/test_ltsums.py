@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandlt import bandset, hill, ltsums, operators, schatten
-from bandlt.errors import HypothesisViolationError, PreconditionError
+from bandlt.errors import HypothesisViolationError, NumericalError, PreconditionError
 
 
 def bundle(p=2.0, v_p=1.0, v0_inf=0.0):
@@ -279,3 +281,74 @@ class TestTheorem1Chain:
         h0, h, report, nb = small_model
         with pytest.raises(PreconditionError):
             ltsums.theorem1_chain(h0, h, report, nb, omega=0.5)
+
+
+def dense_schatten(m, p):
+    """Oracle: Schatten-p norm from the full SVD of a dense matrix."""
+    return float(np.sum(np.linalg.svd(m, compute_uv=False) ** p) ** (1.0 / p))
+
+
+def dense_inverse(op, z):
+    return np.linalg.inv(op.matrix.toarray() - z * np.eye(op.size))
+
+
+class TestLowRankResolventDifference:
+    """The rank-|supp V| paths against dense inverses and full SVDs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60),
+           boundary=st.sampled_from(["dirichlet", "periodic"]),
+           support=st.sampled_from(["empty", "partial", "full"]),
+           p=st.floats(2.0, 5.0), shift=st.floats(0.1, 5.0),
+           z=st.complex_numbers(min_magnitude=0.1, max_magnitude=5.0))
+    def test_against_dense_oracle(self, seed, n, boundary, support, p, shift, z):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.1, 3.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        if support == "empty":
+            v[:] = 0.0
+        elif support == "partial":
+            v[rng.uniform(size=n) < 0.6] = 0.0
+        v0 = rng.uniform(0.0, 2.0, n)
+        h0 = operators.discretize(v0, 0.0, 10.0, n, boundary)
+        h = operators.discretize(v0, v, 10.0, n, boundary)
+        I = bandset.validate([(0.0, 1.0)], ray_start=2.0)
+        report = operators.spectrum_report(h, I, delta=0.5)
+        nb = schatten.norm_bundle(p, v, h.spacing, v0_inf=2.0)
+        omega = min(operators.numerical_range_abscissa(h), 0.0) - shift
+        chain = ltsums.theorem1_chain(h0, h, report, nb, omega=omega)
+        oracle = dense_schatten(dense_inverse(h, omega) - dense_inverse(h0, omega), p)
+        assert chain.link3_delta_r_norm == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+        z = complex(z.real - 6.0, z.imag)  # left of every H0 eigenvalue
+        w = v[:, None] * dense_inverse(h0, z)
+        rep = schatten.w_smallness_check(h0, v, z, nb)
+        assert rep.operator_norm == pytest.approx(
+            float(np.linalg.norm(w, 2)), rel=1e-10, abs=0.0)
+        assert rep.schatten == pytest.approx(dense_schatten(w, p), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("other", [
+        dict(length=12.0, n=40, boundary="dirichlet"),
+        dict(length=10.0, n=40, boundary="periodic"),
+    ], ids=["spacing", "boundary"])
+    def test_chain_refuses_a_different_grid(self, other):
+        v = np.zeros(40, dtype=complex)
+        v[10:20] = 0.5 + 0.5j
+        h = operators.discretize(1.0, v, 10.0, 40)
+        h0 = operators.discretize(1.0, 0.0, other["length"], other["n"], other["boundary"])
+        report = operators.spectrum_report(h, bandset.validate([(0.0, 1.0)], ray_start=2.0))
+        nb = schatten.norm_bundle(2.0, v, h.spacing, v0_inf=1.0)
+        with pytest.raises(PreconditionError, match="grid|diagonal"):
+            ltsums.theorem1_chain(h0, h, report, nb, omega=-1.0)
+
+    def test_zero_potential_gives_zero_difference(self):
+        h0 = operators.discretize(1.0, 0.0, 10.0, 40)
+        h = operators.discretize(1.0, np.zeros(40), 10.0, 40)
+        report = operators.spectrum_report(h, bandset.validate([(0.0, 1.0)], ray_start=2.0))
+        nb = schatten.norm_bundle(2.0, np.zeros(40), h.spacing, v0_inf=1.0)
+        chain = ltsums.theorem1_chain(h0, h, report, nb, omega=-1.0)
+        assert chain.link3_delta_r_norm == 0.0
+
+    def test_resolvent_refused_at_an_eigenvalue(self):
+        op = operators.discretize(1.0, 0.3j, 10.0, 40, "periodic")
+        with pytest.raises(NumericalError, match="spectrum"):
+            operators.resolvent(op, operators.eigenvalues(op)[7], [0, 5])

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from bandlt import bandset, operators
 from bandlt.errors import (
@@ -13,7 +15,7 @@ from bandlt.errors import (
 
 
 def make_op(matrix, boundary="periodic"):
-    matrix = np.asarray(matrix)
+    matrix = scipy.sparse.csc_array(np.asarray(matrix))
     n = matrix.shape[0]
     return operators.DiscretizedOperator(
         size=n, spacing=1.0, length=float(n + 1), boundary=boundary,
@@ -27,7 +29,7 @@ class TestDiscretize:
         op = operators.discretize(0.0, 0.0, length=4.0, n=3)
         assert op.spacing == 1.0
         expect = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        assert np.array_equal(op.matrix, expect)
+        assert np.array_equal(op.matrix.toarray(), expect)
         vals = np.sort(operators.eigenvalues(op).real)
         assert vals == pytest.approx([2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)])
         assert op.is_self_adjoint
@@ -52,14 +54,14 @@ class TestDiscretize:
         v0 = rng.uniform(0, 2, 8)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         op = operators.discretize(v0, v, length=9.0, n=8)
-        kinetic = operators.discretize(0.0, 0.0, length=9.0, n=8).matrix
-        assert np.array_equal(op.matrix, kinetic + np.diag(v0) + np.diag(v))
+        kinetic = operators.discretize(0.0, 0.0, length=9.0, n=8).matrix.toarray()
+        assert np.array_equal(op.matrix.toarray(), kinetic + np.diag(v0) + np.diag(v))
 
     def test_periodic_corners(self):
         op = operators.discretize(0.0, 0.0, length=4.0, n=4, boundary="periodic")
         assert op.spacing == 1.0
-        assert op.matrix[0, -1] == -1.0
-        assert op.matrix[-1, 0] == -1.0
+        assert op.matrix.toarray()[0, -1] == -1.0
+        assert op.matrix.toarray()[-1, 0] == -1.0
 
     def test_negative_background_rejected(self):
         with pytest.raises(HypothesisViolationError):
@@ -95,7 +97,7 @@ class TestEigenvalues:
     def test_symmetric_real_spectrum(self):
         op = operators.discretize(np.linspace(0, 1, 50), 0.0, length=51.0, n=50)
         vals = operators.eigenvalues(op)
-        assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(op.matrix))
+        assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(op.matrix.toarray()))
 
 
 class TestClassify:
@@ -162,20 +164,20 @@ class TestNumericalRange:
 class TestResolvent:
     def test_diagonal(self):
         op = make_op(np.diag([1.0, 2.0]))
-        r = operators.resolvent(op, 0.0)
+        r = operators.resolvent(op, 0.0, range(2))
         assert np.allclose(r, np.diag([1.0, 0.5]))
 
     def test_at_eigenvalue_rejected(self):
         op = make_op(np.diag([1.0, 2.0]))
         with pytest.raises(NumericalError, match="spectrum"):
-            operators.resolvent(op, 1.0)
+            operators.resolvent(op, 1.0, range(2))
 
     def test_tridiagonal_frozen_inverse(self):
         op = operators.discretize(0.0, 0.0, length=4.0, n=3)
-        r = operators.resolvent(op, -1.0)
+        r = operators.resolvent(op, -1.0, range(3))
         expect = np.array([[8.0, 3.0, 1.0], [3.0, 9.0, 3.0], [1.0, 3.0, 8.0]]) / 21.0
         assert np.allclose(r, expect, atol=1e-12)
-        shifted = op.matrix - (-1.0) * np.eye(3)
+        shifted = op.matrix.toarray() - (-1.0) * np.eye(3)
         assert np.max(np.abs(shifted @ r - np.eye(3))) <= 1e-10
 
     def test_second_resolvent_identity(self, rng):
@@ -185,11 +187,32 @@ class TestResolvent:
         h0 = operators.discretize(v0, 0.0, length=20.0, n=n)
         h = operators.discretize(v0, v, length=20.0, n=n)
         z = -2.0 + 0.7j
-        r0 = operators.resolvent(h0, z)
-        r1 = operators.resolvent(h, z)
+        r0 = operators.resolvent(h0, z, range(n))
+        r1 = operators.resolvent(h, z, range(n))
         lhs = r1 - r0
         rhs = -r1 @ np.diag(v) @ r0
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
+
+
+    def test_columns_only_memory(self):
+        # 100 columns at N = 2000 must not cost a dense N x N complex array
+        n, k = 2000, 100
+        op = operators.discretize(0.0, 0.0, length=float(n + 1), n=n)
+        # the refusal reads the cached spectrum: the closed form of the free
+        # Dirichlet Laplacian (h = 1) stands in for a dense eigensolve
+        op._eigenvalues = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+                           ).astype(complex)
+        cols = np.arange(0, n, n // k)
+        tracemalloc.start()
+        try:
+            r = operators.resolvent(op, -1.0, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.shape == (n, k)
+        assert peak < n * n * 16 / 8
+        shifted = op.matrix.toarray() + np.eye(n)
+        assert np.max(np.abs(shifted @ r - np.eye(n)[:, cols])) <= 1e-10
 
 
 class TestBoundaryArtifacts:
@@ -200,7 +223,7 @@ class TestBoundaryArtifacts:
         diag[10] = 7.0      # eigenvector e_10 is interior
         op = operators.DiscretizedOperator(
             size=n, spacing=1.0, length=float(n + 1), boundary="dirichlet",
-            matrix=np.diag(diag), v0_samples=np.zeros(n), v_samples=np.zeros(n),
+            matrix=scipy.sparse.csc_array(np.diag(diag)), v0_samples=np.zeros(n), v_samples=np.zeros(n),
         )
         I = bandset.validate([(0.5, 2.0)])
         report = operators.classify_discrete(operators.eigenvalues(op), I, delta=0.5)
