@@ -7,11 +7,14 @@ exactly kinetic + diag(V0) + diag(V), stored as a sparse CSC matrix.
 With V = 0 the matrix is real symmetric; complex V makes it complex
 symmetric (non-normal), which is the whole point.
 
-Eigenvalues (cached, then classified against a band set by a distance
-threshold) and the numerical-range abscissa come from dense LAPACK on
-``matrix.toarray()``.  Everything else uses one sparse LU of A - z:
-resolvent columns, and the inverse iteration that flags finite-box edge
-states by eigenvector mass near the boundary.
+No dense eigensolver runs.  The tridiagonal (box) or banded (ring)
+spectrum of the Hermitian part is the spectrum of a real model, its
+minimum is the numerical-range abscissa omega_1, and it seeds the
+Ehrlich-Aberth iteration on det(A - z) for complex V, whose roots are
+certified or refused with NumericalError (exit 4).  Eigenvalues are
+cached, then classified against a band set by a distance threshold.
+One sparse LU of A - z serves resolvent columns and the inverse
+iteration that flags finite-box edge states by eigenvector mass.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -34,6 +38,9 @@ DENSE_SOLVER_CAP = 4000
 BOUNDARY_MARGIN = 5
 BOUNDARY_MASS_THRESHOLD = 0.5
 _INVERSE_ITERATIONS = 3
+_ABERTH_SWEEPS = 100
+_ABERTH_TOL = 1e-12
+_PAIR_ROWS = 256
 
 
 @dataclass
@@ -52,6 +59,7 @@ class DiscretizedOperator:
     v0_samples: np.ndarray
     v_samples: np.ndarray
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
+    _hermitian: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def is_self_adjoint(self) -> bool:
@@ -126,19 +134,135 @@ def discretize(v0, v, length: float, n: int, boundary: str = "dirichlet") -> Dis
     )
 
 
-def eigenvalues(op: DiscretizedOperator, dense_cap: int = DENSE_SOLVER_CAP) -> np.ndarray:
-    """All N eigenvalues via a dense general solver; cached on the operator."""
+def _hermitian_spectrum(op: DiscretizedOperator) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part (A + A*)/2, cached.
+
+    A tridiagonal solve on a box; on a ring the zigzag node order
+    0, N-1, 1, N-2, ... makes it a band matrix of half-bandwidth 2.
+    """
+    if op._hermitian is None:
+        herm = 0.5 * (op.matrix + op.matrix.conj().T)
+        try:
+            if op.boundary == "dirichlet":
+                op._hermitian = scipy.linalg.eigvalsh_tridiagonal(
+                    herm.diagonal().real, herm.diagonal(1).real)
+            else:
+                k = np.arange(op.size)
+                zig = np.where(k % 2 == 0, k // 2, op.size - 1 - k // 2)
+                herm = herm[zig][:, zig]
+                band = [np.pad(herm.diagonal(-j).real, (0, j)) for j in range(3)]
+                op._hermitian = scipy.linalg.eigvals_banded(np.array(band), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Hermitian-part eigensolver failed: {exc}") from exc
+    return op._hermitian
+
+
+def _newton_ratio(a, u, corner, z: np.ndarray) -> np.ndarray:
+    """p/p' of p(z) = det(A - z) at every z, in one O(N) sweep.
+
+    A is complex symmetric (diagonal ``a``, couplings ``u`` = A[k, k+1],
+    ``corner`` = A[N-1, 0] or 0).  Folded into node pairs (j + N mod 2,
+    N-1-j), after node 0 alone for odd N, it is block tridiagonal: the
+    sweep is the block LU of A - z with 2x2 Schur complements S, their
+    z-derivatives T and g = sum tr(S^-1 T) = p'/p.  A degenerate ring
+    pair drops one block's rank by 2, so p/p' stays accurate near it.
+    """
+    n, odd, nb = a.size, a.size % 2, a.size // 2
+    lo, hi = np.arange(nb) + odd, n - 1 - np.arange(nb)
+    w = np.zeros(nb, dtype=complex)
+    w[0], w[-1] = 0.0 if odd else corner, u[lo[-1]]
+    k1 = np.concatenate(([u[0] if odd else 0.0], u[lo[1:] - 1]))
+    k2 = np.concatenate(([corner if odd else 0.0], u[hi[1:]]))
+    # the block before the first: node 0 alone (x = S^-1, y = x T x) or none
+    x11 = x22 = x12 = 1.0 / (a[0] - z) if odd else np.zeros_like(z)
+    y11 = y22 = y12 = -x11 * x11
+    g = -x11
+    for j in range(nb):
+        s11 = a[lo[j]] - z - k1[j] ** 2 * x11
+        s22 = a[hi[j]] - z - k2[j] ** 2 * x22
+        s12 = w[j] - k1[j] * k2[j] * x12
+        t11, t22 = k1[j] ** 2 * y11 - 1.0, k2[j] ** 2 * y22 - 1.0
+        t12 = k1[j] * k2[j] * y12
+        if j == nb - 1:
+            break
+        det = s11 * s22 - s12 * s12
+        x11, x22, x12 = s22 / det, s11 / det, -s12 / det
+        m11, m12 = x11 * t11 + x12 * t12, x11 * t12 + x12 * t22
+        m21, m22 = x12 * t11 + x22 * t12, x12 * t12 + x22 * t22
+        g = g + m11 + m22
+        y11, y22, y12 = m11 * x11 + m12 * x12, m21 * x12 + m22 * x22, m11 * x12 + m12 * x22
+    det = s11 * s22 - s12 * s12
+    return det / (det * g + s22 * t11 + s11 * t22 - 2.0 * s12 * t12)
+
+
+def _aberth(a, u, corner, herm: np.ndarray) -> np.ndarray:
+    """Certified Ehrlich-Aberth roots of det(A - z), started from the
+    Hermitian-part eigenvalues ``herm`` + 1e-3 i.  Odd indices move by a
+    further 5e-4 (1 + i): a degenerate ring pair split only along Im stays
+    on its mirror line and never separates.  A root freezes once its
+    correction is <= 1e-12 (1 + |z|); NumericalError unless all N freeze
+    within _ABERTH_SWEEPS sweeps, finite and right of
+    omega_1 - 1e-10 (1 + |omega_1|).
+    """
+    n = a.size
+    z = herm + 1e-3j + 5e-4 * (1 + 1j) * (np.arange(n) % 2)
+    active = np.arange(n)
+    buf = np.empty((min(_PAIR_ROWS, n), n), dtype=complex)
+    for _ in range(_ABERTH_SWEEPS):
+        # a Schur complement singular exactly at z gives no finite ratio:
+        # step off it; a ratio that stays non-finite never converges
+        with np.errstate(all="ignore"):
+            zs = z[active]
+            newton = _newton_ratio(a, u, corner, zs)
+            bad = ~np.isfinite(newton)
+            if bad.any():
+                newton[bad] = _newton_ratio(a, u, corner, zs[bad] + 1e-15j * (1 + abs(zs[bad])))
+            pair = np.empty_like(zs)
+            for lo in range(0, active.size, _PAIR_ROWS):
+                rows = active[lo:lo + _PAIR_ROWS]
+                d = np.subtract(z[rows, None], z, out=buf[:rows.size])
+                d[np.arange(rows.size), rows] = np.inf
+                pair[lo:lo + rows.size] = np.reciprocal(d, out=d).sum(axis=1)
+            step = newton / (1.0 - newton * pair)
+        z[active] = zs - step
+        active = active[~(abs(step) <= _ABERTH_TOL * (1.0 + abs(z[active])))]
+        if active.size == 0:
+            break
+    w1 = herm[0]
+    if active.size or not (np.all(np.isfinite(z)) and z.real.min() >= w1 - 1e-10 * (1 + abs(w1))):
+        raise NumericalError(
+            f"Aberth eigenvalues not certified: {active.size} of {n} unconverged "
+            f"after {_ABERTH_SWEEPS} sweeps, min Re {z.real.min()!r}, omega_1 {w1!r}")
+    return z
+
+
+def eigenvalues(op: DiscretizedOperator) -> np.ndarray:
+    """All N eigenvalues in (Re, Im) order; cached on the operator.
+
+    A = (its Hermitian part) + i c (a real A: c = 0) shifts the Hermitian
+    spectrum, a diagonal A is its own spectrum, and any other A takes
+    the certified Aberth roots.
+    """
     if op._eigenvalues is not None:
         return op._eigenvalues
-    if op.size > dense_cap:
-        raise PreconditionError(
-            f"N={op.size} exceeds the dense-solver cap {dense_cap}"
-        )
-    try:
-        vals = np.linalg.eigvals(op.matrix.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense eigensolver failed: {exc}") from exc
-    op._eigenvalues = np.asarray(vals, dtype=complex)
+    n, m = op.size, op.matrix
+    if n > DENSE_SOLVER_CAP:
+        raise PreconditionError(f"N={n} exceeds the solver cap {DENSE_SOLVER_CAP}")
+    a, u, corner = m.diagonal().astype(complex), m.diagonal(1), 0.0
+    if op.boundary == "periodic":
+        # fold the ring from its most non-Hermitian node: every leading
+        # block then holds part of Im V, so none is singular at a real
+        # eigenvalue of a stretch with constant coefficients
+        shift = int(np.argmax(abs(a.imag - np.median(a.imag)))) + n % 2
+        ring = np.roll(np.append(u, m[n - 1, 0]), -shift)
+        a, u, corner = np.roll(a, -shift), ring[:-1], ring[-1]
+    if np.all(a.imag == a.imag[0]):
+        vals = _hermitian_spectrum(op) + 1j * a.imag[0]
+    elif np.any(u) or corner:
+        vals = _aberth(a, u, corner, _hermitian_spectrum(op))
+    else:
+        vals = a
+    op._eigenvalues = vals[np.lexsort((vals.imag, vals.real))]
     return op._eigenvalues
 
 
@@ -148,12 +272,7 @@ def numerical_range_abscissa(op: DiscretizedOperator) -> float:
     This is the leftmost real part of the matrix numerical range, so the
     whole spectrum sits in {Re z >= omega_1}.
     """
-    m = op.matrix.toarray()
-    herm = 0.5 * (m + m.conj().T)
-    try:
-        return float(np.linalg.eigvalsh(herm)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
+    return float(_hermitian_spectrum(op)[0])
 
 
 def _shifted_lu(op: DiscretizedOperator, z: complex):
@@ -310,10 +429,17 @@ def spectrum_report(op: DiscretizedOperator, band_set: BandSet,
 
 
 def point_cloud_distance(points, cloud) -> np.ndarray:
-    """Distance from each point to a finite set of complex values."""
+    """Distance from each complex point to a finite set of real values:
+    one of the two sorted neighbours of Re z is nearest, so the result is
+    the pairwise minimum bit for bit, without an N x M array."""
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    cl = np.asarray(cloud, dtype=complex).ravel()
-    return np.min(np.abs(pts[:, None] - cl[None, :]), axis=1)
+    cl = np.asarray(cloud).ravel()
+    if cl.size == 0 or np.any(np.imag(cl) != 0.0):
+        raise PreconditionError("the cloud must be a nonempty set of real values")
+    cl = np.sort(cl.real)
+    j = np.searchsorted(cl, pts.real)
+    return np.minimum(np.abs(pts - cl[np.maximum(j - 1, 0)]),
+                      np.abs(pts - cl[np.minimum(j, cl.size - 1)]))
 
 
 def report_to_json(op: DiscretizedOperator, report: SpectrumReport) -> dict:

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bandlt import bandset, operators
+from bandlt import bandset, cli, operators
 from bandlt.errors import (
     HypothesisViolationError,
     NumericalError,
@@ -89,15 +91,129 @@ class TestEigenvalues:
         op = operators.discretize(0.0, 0.0, length=4.0, n=3)
         assert operators.eigenvalues(op) is operators.eigenvalues(op)
 
-    def test_dense_cap(self):
+    def test_dense_cap(self, monkeypatch):
+        monkeypatch.setattr(operators, "DENSE_SOLVER_CAP", 10)
         op = operators.discretize(0.0, 0.0, length=10.0, n=12)
         with pytest.raises(PreconditionError, match="cap"):
-            operators.eigenvalues(op, dense_cap=10)
+            operators.eigenvalues(op)
 
     def test_symmetric_real_spectrum(self):
         op = operators.discretize(np.linspace(0, 1, 50), 0.0, length=51.0, n=50)
         vals = operators.eigenvalues(op)
         assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(op.matrix.toarray()))
+
+
+def random_model(rng, n, boundary):
+    """A discretized model with random background and complex V."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return operators.discretize(rng.uniform(0, 2, n), v, float(n + 1), n, boundary)
+
+
+def dense_abscissa(op):
+    """Oracle: smallest eigenvalue of the dense Hermitian part."""
+    a = op.matrix.toarray()
+    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+
+
+def two_way_distance(a, b):
+    """Largest distance from a point of either set to the other set,
+    relative to 1 + |point|."""
+    d = np.abs(a[:, None] - b[None, :])
+    return max(np.max(d.min(axis=1) / (1 + np.abs(a))),
+               np.max(d.min(axis=0) / (1 + np.abs(b))))
+
+
+def desk_model(n=2000, boundary="dirichlet"):
+    """1 + cos x on 40 periods with the bump (-3 + 2i) of half-width 6."""
+    length = 40 * 2 * np.pi
+    x = operators.discretize(0.0, 0.0, length, n, boundary).grid()
+    t = (x - length / 2.0) / 6.0
+    v = np.zeros(n, dtype=complex)
+    inside = np.abs(t) < 1.0
+    v[inside] = (-3.0 + 2.0j) * np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
+    return operators.discretize(1.0 + np.cos(x), v, length, n, boundary)
+
+
+class TestStructuredSpectra:
+    """Aberth roots, Hermitian-part spectra and omega_1 against dense LAPACK."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
+           boundary=st.sampled_from(["dirichlet", "periodic"]),
+           support=st.sampled_from(["empty", "partial", "full"]))
+    def test_against_dense_oracle(self, seed, n, boundary, support):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.1, 3.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        if support == "empty":
+            v[:] = 0.0
+        elif support == "partial":
+            v[rng.uniform(size=n) < 0.6] = 0.0
+        v0 = rng.uniform(0.0, 2.0, n)
+        h0 = operators.discretize(v0, 0.0, 10.0, n, boundary)
+        h = operators.discretize(v0, v, 10.0, n, boundary)
+        a = h.matrix.toarray()
+        assert two_way_distance(operators.eigenvalues(h), np.linalg.eigvals(a)) <= 1e-10
+        dense_h0 = np.linalg.eigvalsh(h0.matrix.toarray())
+        assert np.allclose(operators.eigenvalues(h0), dense_h0, rtol=0, atol=1e-10)
+        w1 = dense_abscissa(h)
+        assert operators.numerical_range_abscissa(h) == pytest.approx(
+            w1, rel=0, abs=1e-10 * (1 + abs(w1)))
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_canonical_order_and_ring_degeneracy(self, boundary):
+        # a smooth bump leaves near-degenerate ring pairs; the roots come
+        # back sorted by (Re, Im)
+        op = desk_model(400, boundary)
+        vals = operators.eigenvalues(op)
+        assert np.array_equal(vals, vals[np.lexsort((vals.imag, vals.real))])
+        assert two_way_distance(vals, np.linalg.eigvals(op.matrix.toarray())) <= 1e-10
+
+    def test_ring_point_defect(self):
+        # on a free ring the modes vanishing at the defect keep real
+        # eigenvalues, which folding from node 0 shares with leading blocks
+        for n in (24, 38, 66):
+            v = np.zeros(n, dtype=complex)
+            v[n // 3] = 0.7 + 0.9j
+            op = operators.discretize(0.0, v, float(n), n, "periodic")
+            dense = np.linalg.eigvals(op.matrix.toarray())
+            assert two_way_distance(operators.eigenvalues(op), dense) <= 1e-10
+
+    def test_ring_pair_split_off_the_mirror_line(self):
+        # an imaginary step on a free ring splits each degenerate pair along
+        # Re; starts split only along Im would stay on the pair's mirror line
+        n, length = 500, 16 * np.pi
+        x = operators.discretize(0.0, 0.0, length, n, "periodic").grid()
+        op = operators.discretize(0.0, np.where(np.abs(x - 25.0) < 0.5, 0.8j, 0.0),
+                                  length, n, "periodic")
+        dense = np.linalg.eigvals(op.matrix.toarray())
+        assert two_way_distance(operators.eigenvalues(op), dense) <= 1e-10
+
+    def test_uncertified_roots_exit_4(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(operators, "_ABERTH_SWEEPS", 1)
+        config = {
+            "v0": {"type": "cos", "q": 1.0, "period": 2 * math.pi},
+            "v": {"type": "bump", "center": 25.0, "halfwidth": 3.0,
+                  "amplitude": [0.4, 0.6]},
+            "grid": {"periods": 8, "points": 200, "boundary": "dirichlet"},
+            "bands": {"e_max": 4.0},
+            "output": {"json": "spectrum.json"},
+        }
+        status, doc = cli.run(config, command="spectrum", out_dir=str(tmp_path))
+        assert status == 4
+        assert "not certified" in doc["error"]
+
+    def test_memory_of_h(self):
+        # the pair sums run in row blocks: no N x N complex temporary
+        n = 2000
+        op = desk_model(n)
+        tracemalloc.start()
+        try:
+            vals = operators.eigenvalues(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (n,)
+        assert peak < n * n * 16 / 4
 
 
 class TestClassify:
@@ -130,10 +246,14 @@ class TestClassify:
 
 
 class TestNumericalRange:
-    def test_jordan_block(self):
-        assert operators.numerical_range_abscissa(
-            make_op([[0.0, 1.0], [0.0, 0.0]])
-        ) == pytest.approx(-0.5)
+    def test_non_normal_abscissa_left_of_spectrum(self, rng):
+        # as for a Jordan block, the abscissa of a non-normal model is the
+        # Hermitian-part minimum, strictly left of the spectrum
+        for boundary in ("dirichlet", "periodic"):
+            op = random_model(rng, 12, boundary)
+            w1 = operators.numerical_range_abscissa(op)
+            assert w1 == pytest.approx(dense_abscissa(op), abs=1e-12)
+            assert w1 < np.min(np.linalg.eigvals(op.matrix.toarray()).real) - 1e-3
 
     def test_real_symmetric(self):
         op = operators.discretize(0.0, 0.0, length=4.0, n=3)
@@ -145,9 +265,11 @@ class TestNumericalRange:
         ) == pytest.approx(1.0)
 
     def test_spectrum_inclusion(self, rng):
-        for _ in range(20):
-            op = make_op(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+        for k in range(20):
+            op = random_model(rng, 12, ["dirichlet", "periodic"][k % 2])
             w1 = operators.numerical_range_abscissa(op)
+            dense = np.linalg.eigvals(op.matrix.toarray())
+            assert np.min(dense.real) >= w1 - 1e-10
             assert np.min(operators.eigenvalues(op).real) >= w1 - 1e-10
 
     def test_accretive_case(self, rng):
@@ -198,10 +320,6 @@ class TestResolvent:
         # 100 columns at N = 2000 must not cost a dense N x N complex array
         n, k = 2000, 100
         op = operators.discretize(0.0, 0.0, length=float(n + 1), n=n)
-        # the refusal reads the cached spectrum: the closed form of the free
-        # Dirichlet Laplacian (h = 1) stands in for a dense eigensolve
-        op._eigenvalues = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-                           ).astype(complex)
         cols = np.arange(0, n, n // k)
         tracemalloc.start()
         try:
@@ -265,6 +383,27 @@ class TestWeylStability:
 def test_point_cloud_distance():
     d = operators.point_cloud_distance([1 + 1j, 3.0], [0.0, 3.0])
     assert d == pytest.approx([math.sqrt(2), 0.0])
+
+
+class TestPointCloudDistance:
+    def test_bytes_equal_pairwise_minimum(self, rng):
+        cloud = np.concatenate([rng.uniform(-5, 5, 200), [0.5, 0.5, 1.5]])
+        pts = np.concatenate([
+            rng.uniform(-5, 5, 300) + 1j * rng.uniform(-2, 2, 300),
+            [-50.0 + 1j, 60.0 - 3j, -5.5, 5.5],      # past both ends
+            [1.0 + 0.25j, 1.0, 1.0 - 7j],            # ties between 0.5 and 1.5
+            rng.choice(cloud, 20) + 1j * rng.uniform(-1, 1, 20),
+        ])
+        # real, complex-typed and the chain's 1/(lambda0 - omega) clouds
+        for cl in (cloud, cloud.astype(complex), 1.0 / (cloud.astype(complex) - 7.0)):
+            pairwise = np.min(np.abs(pts[:, None] - cl[None, :]), axis=1)
+            assert operators.point_cloud_distance(pts, cl).tobytes() == pairwise.tobytes()
+
+    def test_complex_or_empty_cloud_refused(self):
+        with pytest.raises(PreconditionError, match="real"):
+            operators.point_cloud_distance([0.0], [1.0, 2.0 + 1e-300j])
+        with pytest.raises(PreconditionError):
+            operators.point_cloud_distance([0.0], [])
 
 
 def test_abscissa_reported_across_refinements():
