@@ -1,11 +1,13 @@
 """Band spectrum of a periodic Schrodinger operator -y'' + V0(x) y = E y.
 
 The trace D(E) of the period monodromy matrix decides membership: E
-belongs to the spectrum exactly when |D(E)| <= 2.  ``band_edges`` scans
-D, bisects the crossings of +/-2, and assembles a validated
-:class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes.
+belongs to the spectrum exactly when |D(E)| <= 2.  ``band_edges_report``
+scans D, bisects the crossings of +/-2, and assembles a validated
+:class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes,
+with metadata on the resolution used.
 
-The monodromy is integrated with fixed-step classical Runge-Kutta.  The
+The monodromy is integrated with fixed-step classical Runge-Kutta, in
+blocks of steps that run side by side (see ``_monodromy_batch``).  The
 step count grows with the total phase sqrt(E)*T so that the Wronskian
 (det of the monodromy) stays within 1e-10 of 1 and the trace error stays
 below the edge-bisection tolerance; see ``default_steps``.
@@ -28,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 
-_DET_TOL = 1e-10
 _EDGE_TOL = 1e-10
 _DEGENERATE_GAP = 1e-8
 _PROBE_POINTS = 2048
@@ -36,6 +37,7 @@ _MAX_STEPS = 50_000  # RK4 steps per sweep; Mathieu q = 2 to e_max 30 needs 7211
 _MAX_SCAN_POINTS = 100_000
 _SPEC_DEPTH = 5  # bracketing rounds per sweep: 2^5 - 1 tree nodes per bracket
 _PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+_CHUNK = 8192  # blocks x energies per integration chunk; caps the RK4 arrays
 
 
 @dataclass(frozen=True)
@@ -49,25 +51,6 @@ class PeriodicPotential:
     period: float
     evaluate: Callable[[np.ndarray], np.ndarray]
     sup_norm: float
-
-
-@dataclass(frozen=True)
-class Monodromy:
-    """Fundamental 2x2 solution matrix over one period at a given energy."""
-
-    entries: np.ndarray
-    energy: float
-
-    @property
-    def trace(self) -> float:
-        return float(self.entries[0, 0] + self.entries[1, 1])
-
-    @property
-    def det(self) -> float:
-        return float(
-            self.entries[0, 0] * self.entries[1, 1]
-            - self.entries[0, 1] * self.entries[1, 0]
-        )
 
 
 def from_callable(f, period: float, sup_norm: float | None = None) -> PeriodicPotential:
@@ -139,10 +122,24 @@ def default_steps(energy: float, period: float) -> int:
 
 def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
                      steps: int | None = None) -> np.ndarray:
-    """Fundamental matrices for many energies at once; returns (2,2,nE)."""
+    """Fundamental matrices for many energies at once; returns (2,2,nE).
+
+    Columns start from (1,0) and (0,1).  The ``steps`` RK4 steps are split
+    into B = ceil(steps/L) consecutive blocks of L = ceil(sqrt(steps)).
+    Iteration j of one pass advances both columns of every block from the
+    identity by the block's step b*L + j (the short last block drops out
+    once done); the B block matrices are then multiplied in order.  A
+    sweep is about L + B Python iterations per chunk of ``_CHUNK // B``
+    energies, and the chunk caps the arrays whatever the batch size.  L
+    and B depend only on ``steps`` and every operation is elementwise in
+    E, so an energy's monodromy has the same bits alone and inside any
+    batch.  The Wronskian det = 1 is checked on the result.
+    """
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     if steps is None:
         steps = default_steps(float(np.max(E)), V0.period)
+    if steps < 100:
+        raise PreconditionError("steps must be >= 100")
     h = V0.period / steps
     x = np.arange(steps + 1) * h
     v_node = np.asarray(V0.evaluate(x), dtype=float)
@@ -150,30 +147,19 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
     if not (np.all(np.isfinite(v_node)) and np.all(np.isfinite(v_mid))):
         raise NumericalError("potential produced non-finite samples")
 
-    y = np.zeros((2, E.size))
-    w = np.zeros((2, E.size))
-    y[0] = 1.0
-    w[1] = 1.0
-    for i in range(steps):
-        c0 = v_node[i] - E
-        cm = v_mid[i] - E
-        c1 = v_node[i + 1] - E
-        k1y = w
-        k1w = c0 * y
-        k2y = w + 0.5 * h * k1w
-        k2w = cm * (y + 0.5 * h * k1y)
-        k3y = w + 0.5 * h * k2w
-        k3w = cm * (y + 0.5 * h * k2y)
-        k4y = w + h * k3w
-        k4w = c1 * (y + h * k3y)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    L = math.isqrt(steps - 1) + 1
+    B = -(-steps // L)
 
+    def by_block(v):  # row j holds sample b*L + j of every block b
+        return np.pad(v, (0, B * L - steps)).reshape(B, L).T.copy()
+
+    samples = by_block(v_node[:-1]), by_block(v_mid), by_block(v_node[1:])
+    tail = steps - (B - 1) * L
+    width = _CHUNK // B
     out = np.empty((2, 2, E.size))
-    out[0, 0] = y[0]
-    out[0, 1] = y[1]
-    out[1, 0] = w[0]
-    out[1, 1] = w[1]
+    for k in range(0, E.size, width):
+        out[:, :, k:k + width] = _monodromy_chunk(samples, h, tail, E[k:k + width])
+
     dets = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
     # below the spectrum the entries grow like exp(sqrt(V-E) T), and the
     # computed Wronskian carries an irreducible eps*|M|^2 cancellation
@@ -188,28 +174,43 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
     return out
 
 
-def monodromy(V0: PeriodicPotential, energy: float, steps: int | None = None) -> Monodromy:
-    """Integrate the fundamental system over one period.
+def _monodromy_chunk(samples, h, tail, E):
+    """Block RK4 pass and ordered block product for one chunk of energies.
 
-    Columns start from (1,0) and (0,1); the determinant is checked
-    against 1 to within 1e-10 (Wronskian conservation).
+    ``samples`` are the (L, B) node, midpoint and next-node potential
+    tables; the last block has ``tail`` steps.
     """
-    if steps is not None and steps < 100:
-        raise PreconditionError("steps must be >= 100")
-    m = _monodromy_batch(V0, np.array([energy]), steps)[:, :, 0]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    tol = max(_DET_TOL, 128.0 * np.finfo(float).eps * (1.0 + float((m * m).sum())))
-    if abs(det - 1.0) > tol:
-        raise NumericalError(f"monodromy determinant {det} deviates from 1")
-    return Monodromy(entries=m, energy=float(energy))
+    v_node, v_mid, v_next = samples
+    L, B = v_node.shape
+    y = np.zeros((2, B, E.size))
+    w = np.zeros((2, B, E.size))
+    y[0] = 1.0
+    w[1] = 1.0
+    done = []
+    for j in range(L):
+        if j == tail:
+            done.append(np.stack([y[:, -1], w[:, -1]]))
+            y, w = y[:, :-1], w[:, :-1]
+        nb = y.shape[1]
+        c0 = v_node[j, :nb, None] - E
+        cm = v_mid[j, :nb, None] - E
+        c1 = v_next[j, :nb, None] - E
+        k1y = w
+        k1w = c0 * y
+        k2y = w + 0.5 * h * k1w
+        k2w = cm * (y + 0.5 * h * k1y)
+        k3y = w + 0.5 * h * k2w
+        k3w = cm * (y + 0.5 * h * k2y)
+        k4y = w + h * k3w
+        k4w = c1 * (y + h * k3y)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 
-
-def discriminant(V0: PeriodicPotential, energy):
-    """Trace of the monodromy; scalar or array of energies."""
-    E = np.asarray(energy, dtype=float)
-    m = _monodromy_batch(V0, E)
-    tr = m[0, 0] + m[1, 1]
-    return float(tr[0]) if E.ndim == 0 else tr.reshape(E.shape)
+    blocks = list(np.stack([y, w]).transpose(2, 0, 1, 3)) + done
+    m = blocks[0]
+    for p in blocks[1:]:
+        m = p[:, 0, None] * m[0] + p[:, 1, None] * m[1]
+    return m
 
 
 def _scan_grid(period: float, e_max: float, scan_step: float | None) -> np.ndarray:
@@ -427,8 +428,3 @@ def band_edges_report(V0: PeriodicPotential, e_max: float,
     }
     return I, meta
 
-
-def band_edges(V0: PeriodicPotential, e_max: float,
-               scan_step: float | None = None) -> BandSet:
-    """Band set of the period problem up to e_max (no terminal ray)."""
-    return band_edges_report(V0, e_max, scan_step)[0]

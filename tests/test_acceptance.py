@@ -103,9 +103,8 @@ def test_criterion_04_hill_free_case():
     start = time.time()
     V0 = hill.free(1.0)
     E = np.linspace(0.0, 100.0, 1000)
-    D = hill.discriminant(V0, E)
-    trace_err = float(np.max(np.abs(D - 2.0 * np.cos(np.sqrt(E)))))
     m = hill._monodromy_batch(V0, E)
+    trace_err = float(np.max(np.abs(m[0, 0] + m[1, 1] - 2.0 * np.cos(np.sqrt(E)))))
     dets = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     det_err = float(np.max(np.abs(dets - 1.0)))
     elapsed = time.time() - start
@@ -237,7 +236,7 @@ def test_criterion_09_hansmann_ensemble():
 
 def _desk_scale_model():
     V0 = hill.cosine(1.0, 2 * np.pi)  # background 1 + cos x
-    bands = hill.band_edges(V0, 12.0)
+    bands, _ = hill.band_edges_report(V0, 12.0)
     I = bandset.close_with_ray(bands)
     length = 40 * V0.period
     n = 2000
@@ -310,7 +309,7 @@ def test_criterion_12_coupling_sweep():
     # fixed across couplings; its strongly-absorbing localized states keep
     # dist ~ alpha |Im V|, the regime where lhs tracks alpha^p
     V0 = hill.cosine(1.0, 2 * np.pi)
-    I = bandset.close_with_ray(hill.band_edges(V0, 10.0))
+    I = bandset.close_with_ray(hill.band_edges_report(V0, 10.0)[0])
     length = 12 * V0.period
     n = 1500
     probe = operators.discretize(0.0, 0.0, length, n)

@@ -13,7 +13,7 @@ from bandlt.errors import EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError, ValidationE
 @pytest.fixture(scope="module")
 def bands_file(tmp_path_factory):
     """Ray-closed band set for the cos potential, computed once."""
-    I = bandset.close_with_ray(hill.band_edges(hill.cosine(1.0, 2 * math.pi), 10.0))
+    I = bandset.close_with_ray(hill.band_edges_report(hill.cosine(1.0, 2 * math.pi), 10.0)[0])
     path = tmp_path_factory.mktemp("bands") / "I.json"
     path.write_text(json.dumps(bandset.to_json(I)))
     return str(path)

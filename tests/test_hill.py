@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,57 +37,140 @@ class TestPotentials:
         assert np.allclose(V.evaluate(probe), 1.0 + np.cos(probe), atol=1e-3)
 
 
+def _monodromy(V, E, steps=None):
+    return hill._monodromy_batch(V, np.array([E]), steps)[:, :, 0]
+
+
+def _trace(m):
+    return m[0, 0] + m[1, 1]
+
+
+def _det(m):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def _reference_monodromy(V0, energies, steps):
+    """The sequential RK4 loop: one Python iteration per step."""
+    E = np.atleast_1d(np.asarray(energies, dtype=float))
+    h = V0.period / steps
+    x = np.arange(steps + 1) * h
+    v_node = np.asarray(V0.evaluate(x), dtype=float)
+    v_mid = np.asarray(V0.evaluate(x[:-1] + 0.5 * h), dtype=float)
+
+    y = np.zeros((2, E.size))
+    w = np.zeros((2, E.size))
+    y[0] = 1.0
+    w[1] = 1.0
+    for i in range(steps):
+        c0 = v_node[i] - E
+        cm = v_mid[i] - E
+        c1 = v_node[i + 1] - E
+        k1y = w
+        k1w = c0 * y
+        k2y = w + 0.5 * h * k1w
+        k2w = cm * (y + 0.5 * h * k1y)
+        k3y = w + 0.5 * h * k2w
+        k3w = cm * (y + 0.5 * h * k2y)
+        k4y = w + h * k3w
+        k4w = c1 * (y + h * k3y)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+
+    out = np.empty((2, 2, E.size))
+    out[0, 0] = y[0]
+    out[0, 1] = y[1]
+    out[1, 0] = w[0]
+    out[1, 1] = w[1]
+    return out
+
+
 class TestMonodromy:
     def test_free_zero_energy(self):
-        m = hill.monodromy(hill.free(1.0), 0.0)
-        assert np.allclose(m.entries, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
-        assert m.trace == pytest.approx(2.0)
+        m = _monodromy(hill.free(1.0), 0.0)
+        assert np.allclose(m, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12)
+        assert _trace(m) == pytest.approx(2.0)
 
     def test_free_pi_squared(self):
-        m = hill.monodromy(hill.free(1.0), math.pi**2)
-        assert m.trace == pytest.approx(-2.0, abs=1e-8)
+        m = _monodromy(hill.free(1.0), math.pi**2)
+        assert _trace(m) == pytest.approx(-2.0, abs=1e-8)
 
     def test_free_four_pi_squared(self):
-        m = hill.monodromy(hill.free(1.0), 4 * math.pi**2)
-        assert m.trace == pytest.approx(2.0, abs=1e-8)
+        m = _monodromy(hill.free(1.0), 4 * math.pi**2)
+        assert _trace(m) == pytest.approx(2.0, abs=1e-8)
 
     def test_determinant_one(self):
         # below the spectrum the entries blow up and eps*|M|^2 cancellation
         # dominates the computed Wronskian; scale the tolerance accordingly
         V = hill.cosine(1.0)
         for E in np.linspace(-1, 40, 50):
-            m = hill.monodromy(V, float(E))
-            tol = max(1e-10, 1e-13 * (1.0 + float((m.entries**2).sum())))
-            assert abs(m.det - 1.0) < tol
+            m = _monodromy(V, float(E))
+            tol = max(1e-10, 1e-13 * (1.0 + float((m**2).sum())))
+            assert abs(_det(m) - 1.0) < tol
 
     def test_determinant_one_free_strict(self):
         V = hill.free(1.0)
         for E in np.linspace(0, 100, 40):
-            assert abs(hill.monodromy(V, float(E)).det - 1.0) < 1e-10
+            assert abs(_det(_monodromy(V, float(E))) - 1.0) < 1e-10
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(PreconditionError):
-            hill.monodromy(hill.free(1.0), 1.0, steps=50)
+            _monodromy(hill.free(1.0), 1.0, steps=50)
+
+    # 1024 = 32 * 32 fills every block; the others leave a short last block.
+    # Each e_max is a test config's, lowered where 1000 steps fail the
+    # Wronskian check (cos q = 1 to e_max 12 does).
+    @pytest.mark.parametrize("steps", [1000, 1024, 1423, 4142, 7211])
+    @pytest.mark.parametrize("V0, e_max", [
+        (hill.cosine(1.0), 10.0),
+        (hill.cosine(2.0), 9.0),
+        (hill.free(1.0), 50.0),
+        (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
+        (hill.from_samples([0.0, 1.0, 3.0, 0.5, 2.0], 1.0), 50.0),
+    ], ids=["cos-q1", "cos-q2", "free", "float-resolution", "five-samples"])
+    def test_blocks_match_sequential_loop(self, V0, e_max, steps):
+        # the block product reassociates the step products, so the
+        # entries agree with the sequential loop at rounding level only
+        E = np.linspace(-1.0, e_max, 41)
+        m = hill._monodromy_batch(V0, E, steps)
+        ref = _reference_monodromy(V0, E, steps)
+        scale = 1.0 + np.sqrt((ref * ref).sum(axis=(0, 1)))
+        assert np.all(np.abs(m - ref) <= 1e-11 * scale)
+
+    def test_chunks_bound_memory(self):
+        # 20000 energies at 1000 steps: 32 blocks, chunks of 256 lanes;
+        # one unchunked pass would hold about 10 MB per RK4 array
+        V = hill.cosine(1.0)
+        E = np.linspace(-1.0, 1.0, 20000)
+        tracemalloc.start()
+        try:
+            hill._monodromy_batch(V, E, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # measured 2.5 MB: the 0.64 MB (2, 2, n) output and its Wronskian
+        # check, plus about 1.5 MB of one chunk's RK4 arrays
+        assert peak < 4_000_000
 
 
 class TestDiscriminant:
     def test_free_closed_form_positive(self):
         V = hill.free(1.0)
         E = np.linspace(0.0, 100.0, 200)
-        D = hill.discriminant(V, E)
+        D = _trace(hill._monodromy_batch(V, E))
         assert np.max(np.abs(D - 2.0 * np.cos(np.sqrt(E)))) < 1e-8
 
     def test_free_closed_form_negative(self):
         V = hill.free(1.0)
-        assert hill.discriminant(V, -1.0) == pytest.approx(2.0 * math.cosh(1.0), abs=1e-8)
+        assert _trace(_monodromy(V, -1.0)) == pytest.approx(2.0 * math.cosh(1.0), abs=1e-8)
 
     def test_frozen_values(self):
         V = hill.free(1.0)
-        assert hill.discriminant(V, 100.0) == pytest.approx(-1.6781430581529051, abs=1e-8)
+        assert _trace(_monodromy(V, 100.0)) == pytest.approx(-1.6781430581529051, abs=1e-8)
 
     def test_returns_real_floats(self):
-        d = hill.discriminant(hill.cosine(0.5), 3.0)
-        assert isinstance(d, float)
+        m = hill._monodromy_batch(hill.cosine(0.5), 3.0)
+        assert m.shape == (2, 2, 1)
+        assert m.dtype == np.float64
 
 
 class TestBandEdges:
@@ -102,7 +186,7 @@ class TestBandEdges:
 
     def test_below_first_band_errors(self):
         with pytest.raises(NumericalError, match="no band"):
-            hill.band_edges(hill.cosine(2.0), 0.5)
+            hill.band_edges_report(hill.cosine(2.0), 0.5)
 
     def test_mathieu_prefix_frozen(self):
         # edges cross-checked against a dense Floquet grid discretization
@@ -121,7 +205,7 @@ class TestBandEdges:
         assert meta["truncated_at_e_max"]
 
     def test_gap_lengths_shrink_for_smooth_potential(self):
-        I = hill.band_edges(hill.cosine(1.0), 12.0)
+        I, _ = hill.band_edges_report(hill.cosine(1.0), 12.0)
         lo = I.lower_edges()
         hi = I.upper_edges()
         gaps = lo[1:] - hi[:-1]
@@ -130,24 +214,24 @@ class TestBandEdges:
 
     def test_bad_inputs(self):
         with pytest.raises(PreconditionError):
-            hill.band_edges(hill.free(1.0), -3.0)
+            hill.band_edges_report(hill.free(1.0), -3.0)
         with pytest.raises(PreconditionError):
-            hill.band_edges(hill.free(1.0), 10.0, scan_step=0.0)
+            hill.band_edges_report(hill.free(1.0), 10.0, scan_step=0.0)
 
     def test_classification_constant_on_refinement(self):
         # between consecutive edges the in-band/in-gap verdict must not
         # flip when the grid is refined (sub-resolution gap excursions
         # stay within the merge scale)
         V0 = hill.cosine(1.0, 2 * math.pi)
-        I = hill.band_edges(V0, 8.0)
+        I, _ = hill.band_edges_report(V0, 8.0)
         lo = I.lower_edges()
         hi = I.upper_edges()
         for a, b in zip(lo, hi):
             inner = np.linspace(a + 1e-6, b - 1e-6, 60)
-            assert np.all(np.abs(hill.discriminant(V0, inner)) <= 2.0 + 1e-6)
+            assert np.all(np.abs(_trace(hill._monodromy_batch(V0, inner))) <= 2.0 + 1e-6)
         for b, a_next in zip(hi[:-1], lo[1:]):
             inner = np.linspace(b + 1e-8, a_next - 1e-8, 60)
-            assert np.all(np.abs(hill.discriminant(V0, inner)) > 2.0 - 1e-12)
+            assert np.all(np.abs(_trace(hill._monodromy_batch(V0, inner))) > 2.0 - 1e-12)
 
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
         # edges near 9e5 sit where one float spacing exceeds the 1e-10
@@ -162,7 +246,7 @@ class TestBandEdges:
             return batch(*args, **kwargs)
 
         monkeypatch.setattr(hill, "_monodromy_batch", bounded)
-        I = hill.band_edges(hill.from_samples([0.0, 2e4], 0.01), 1.2e6)
+        I, _ = hill.band_edges_report(hill.from_samples([0.0, 2e4], 0.01), 1.2e6)
         assert I.edges[-1][0] > 2.0**19
 
     @pytest.mark.parametrize("q, e_max, most", [(2.0, 9.0, 10), (1.0, 4.0, 8)],
@@ -254,11 +338,17 @@ class TestSpeculativeRounds:
         probes = np.array([-1.0, 0.5, 0.932, 2.0, 2.6, 3.0, 4.0, 5.0, 8.3345, 9.0])
         alone = [hill._monodromy_batch(V, probes[k:k + 1], steps)[:, :, 0]
                  for k in range(probes.size)]
+        # chunks of `width` lanes: sizes around one and two chunks
+        blocks = -(-steps // (math.isqrt(steps - 1) + 1))
+        width = hill._CHUNK // blocks
         rng = np.random.default_rng(3)
-        for size in (probes.size, 23, 37):
+        for size in (probes.size, 23, 37, width - 1, width, width + 1, 2 * width + 3):
             batch = rng.uniform(-1.0, 9.0, size)
-            # the last lane, past any full SIMD block, holds the last probe
-            where = np.append(rng.permutation(size - 1)[: probes.size - 1], size - 1)
+            # the last lane, past any full SIMD block and in the last
+            # chunk, holds the last probe; second-chunk lanes come first
+            lanes = rng.permutation(size - 1)
+            lanes = lanes[np.argsort(lanes // width != 1, kind="stable")]
+            where = np.append(lanes[: probes.size - 1], size - 1)
             batch[where] = probes
             mixed = hill._monodromy_batch(V, batch, steps)
             for k, j in enumerate(where):

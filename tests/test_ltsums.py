@@ -246,7 +246,7 @@ class TestCouplingSweep:
 @pytest.fixture(scope="module")
 def small_model():
     V0 = hill.cosine(1.0, 2 * math.pi)
-    bands = hill.band_edges(V0, 10.0)
+    bands, _ = hill.band_edges_report(V0, 10.0)
     I = bandset.close_with_ray(bands)
     periods = 8
     length = periods * V0.period
