@@ -2,7 +2,8 @@
 
 The trace D(E) of the period monodromy matrix decides membership: E
 belongs to the spectrum exactly when |D(E)| <= 2.  ``band_edges_report``
-scans D, bisects the crossings of +/-2, and assembles a validated
+scans D, bisects the crossings of +/-2 one round per sweep (the midpoints
+of all brackets in one batch), and assembles a validated
 :class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes,
 with metadata on the resolution used.
 
@@ -35,7 +36,6 @@ _DEGENERATE_GAP = 1e-8
 _PROBE_POINTS = 2048
 _MAX_STEPS = 50_000  # RK4 steps per sweep; Mathieu q = 2 to e_max 30 needs 7211
 _MAX_SCAN_POINTS = 100_000
-_SPEC_DEPTH = 5  # bracketing rounds per sweep: 2^5 - 1 tree nodes per bracket
 _PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 _CHUNK = 8192  # blocks x energies per integration chunk; caps the RK4 arrays
 
@@ -233,63 +233,22 @@ def _scan_grid(period: float, e_max: float, scan_step: float | None) -> np.ndarr
     return np.array(grid)
 
 
-def _probe_tree(V0, lo, hi, split, steps):
-    """D at every point the next ``_SPEC_DEPTH`` rounds of a bracketing
-    loop can probe, in one sweep.
-
-    ``split(lo, hi)`` returns the (k, ...) probe energies of one round and
-    its two child brackets; a round whose test is True takes the second.
-    Nodes are in heap order (node j has children 2j+1 and 2j+2), so
-    replaying a round moves a bracket from node j to 2j+1+test.  Returns
-    the probes and their D values, each shaped (nodes, k, brackets).
-    Energies are computed by the replayed formulas and D is elementwise
-    in energy, so every replayed round sees the bits of a sweep of its own.
-    """
-    los, his, probes = lo[None], hi[None], []
-    for _ in range(_SPEC_DEPTH):
-        p, ((lo0, hi0), (lo1, hi1)) = split(los, his)
-        probes.append(p.transpose(1, 0, 2))
-        los = np.stack([lo0, lo1], axis=1).reshape(-1, lo.size)
-        his = np.stack([hi0, hi1], axis=1).reshape(-1, lo.size)
-    pts = np.concatenate(probes)
-    m = _monodromy_batch(V0, pts.ravel(), steps)
-    return pts, (m[0, 0] + m[1, 1]).reshape(pts.shape)
-
-
-def _halve(lo, hi):
-    """One bisection round: the midpoint; the sign test keeps [mid, hi]."""
-    mid = 0.5 * (lo + hi)
-    return mid[None], ((lo, mid), (mid, hi))
-
-
-def _golden(lo, hi):
-    """One golden-section round: two probes; |D(m1)| >= |D(m2)| keeps [lo, m2]."""
-    m1 = hi - _PHI * (hi - lo)
-    m2 = lo + _PHI * (hi - lo)
-    return np.stack([m1, m2]), ((m1, hi), (lo, m2))
-
-
 def _bisect_edges(V0, brackets, steps):
     """Resolve each sign-change bracket (lo, hi, +/-2, D(lo) -/+ 2) of
     D -/+ 2 to the edge tolerance, or to four float spacings where those
-    are wider (E above 2^17).  Every bracket is halved while any is wide;
-    ``_probe_tree`` evaluates ``_SPEC_DEPTH`` rounds per sweep."""
+    are wider (E above 2^17).  Every bracket is halved while any is wide,
+    one round per sweep; D(lo) comes with the bracket."""
     if not brackets:
         return []
     lo, hi, tgt, flo = (np.array(c, dtype=float) for c in zip(*brackets))
-    cols = np.arange(lo.size)
-    depth = _SPEC_DEPTH
     while np.any(hi - lo > np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
-        if depth == _SPEC_DEPTH:
-            pts, vals = _probe_tree(V0, lo, hi, _halve, steps)
-            node, depth = np.zeros(lo.size, dtype=int), 0
-        mid = pts[node, 0, cols]
-        fmid = vals[node, 0, cols] - tgt
+        mid = 0.5 * (lo + hi)
+        m = _monodromy_batch(V0, mid, steps)
+        fmid = m[0, 0] + m[1, 1] - tgt
         left = (flo * fmid) > 0.0
         lo = np.where(left, mid, lo)
         flo = np.where(left, fmid, flo)
         hi = np.where(left, hi, mid)
-        node, depth = 2 * node + 1 + left, depth + 1
     return list(0.5 * (lo + hi))
 
 
@@ -300,8 +259,8 @@ def _bump_brackets(V0, grid, disc, crossing_cells, steps):
     local maximum of |D| just below 2 at the neighboring grid points.
     Golden-section maximization of |D| over such cells either exposes a
     point with |D| > 2 (two new brackets) or confirms a tangential touch
-    (closed gap, no edge).  ``_probe_tree`` evaluates ``_SPEC_DEPTH``
-    rounds per sweep.
+    (closed gap, no edge).  Each round evaluates both probes of every
+    candidate in one sweep.
     """
     absd = np.abs(disc)
     interior = np.arange(1, grid.size - 1)
@@ -320,17 +279,14 @@ def _bump_brackets(V0, grid, disc, crossing_cells, steps):
     lo0, hi0 = lo.copy(), hi.copy()
     best_e = grid[cand].astype(float)
     best_f = disc[cand].copy()
-    cols = np.arange(cand.size)
-    depth = _SPEC_DEPTH
     for _ in range(45):
         unresolved = np.abs(best_f) <= 2.0
         if not np.any(unresolved) or np.max(hi - lo) < 1e-10 * (1.0 + np.max(np.abs(hi))):
             break
-        if depth == _SPEC_DEPTH:
-            pts, vals = _probe_tree(V0, lo, hi, _golden, steps)
-            node, depth = np.zeros(cand.size, dtype=int), 0
-        m1, m2 = pts[node, :, cols].T
-        f1, f2 = vals[node, :, cols].T
+        m1 = hi - _PHI * (hi - lo)
+        m2 = lo + _PHI * (hi - lo)
+        mm = _monodromy_batch(V0, np.concatenate([m1, m2]), steps)
+        f1, f2 = np.split(mm[0, 0] + mm[1, 1], 2)
         take1 = np.abs(f1) >= np.abs(f2)
         hi = np.where(take1, m2, hi)
         lo = np.where(take1, lo, m1)
@@ -339,7 +295,6 @@ def _bump_brackets(V0, grid, disc, crossing_cells, steps):
         better = np.abs(f_new) > np.abs(best_f)
         best_e = np.where(better, e_new, best_e)
         best_f = np.where(better, f_new, best_f)
-        node, depth = 2 * node + 1 + take1, depth + 1
 
     brackets = []
     opened = np.abs(best_f) > 2.0
@@ -355,10 +310,10 @@ def band_edges_report(V0: PeriodicPotential, e_max: float,
                       scan_step: float | None = None) -> tuple[BandSet, dict]:
     """Scan and bisect the discriminant; returns the band set and metadata.
 
-    Metadata records merged degenerate gaps (length < 1e-8: the free
-    operator closes its gaps exactly and downstream band sets need strict
-    interlacing), whether the last band was truncated at e_max, and the
-    scan/integration resolution actually used.
+    Metadata records the edges at which the in-band verdict flips, merged
+    degenerate gaps (length < 1e-8: the free operator closes its gaps
+    exactly and downstream band sets need strict interlacing), whether the
+    last band was truncated at e_max, and the scan/integration resolution.
     """
     if not e_max > 0:
         raise PreconditionError("e_max must be positive")
@@ -418,7 +373,7 @@ def band_edges_report(V0: PeriodicPotential, e_max: float,
 
     I = bandset.validate(merged)
     meta = {
-        "edges_found": len(edges),
+        "edges_found": int(np.sum(in_band[1:] != in_band[:-1])),
         "merged_gaps": [[float(a), float(b)] for a, b in merged_gaps],
         "dropped_slivers": [[float(a), float(b)] for a, b in slivers],
         "bump_refinements": n_bumps,

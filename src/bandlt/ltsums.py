@@ -328,7 +328,9 @@ class ChainReport:
     resolvent pair is finite.  Link 3: the measured Schatten norm of the
     resolvent difference against its analytic structure (reported, not
     asserted: the underlying multiplier estimate has no exact matrix
-    analogue).  The composite constant is lhs / |dR|_Sp^p.
+    analogue), and the measured |W(omega)|_Sp of W = V R(omega, H0), which
+    ``schatten.omega_prime`` makes provably small.  The composite constant
+    is lhs / |dR|_Sp^p.
     """
 
     omega: float
@@ -340,6 +342,7 @@ class ChainReport:
     link3_delta_r_norm: float
     link3_bound_structure: float
     link3_margin: float
+    link3_w_norm: float
     lt_report: LTReport
     composite_constant: float
     parameters: dict = field(default_factory=dict)
@@ -393,11 +396,13 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
         link1_min = math.inf
         link1_viol = 0
 
-    # dR = -R(H)[:, S] D_S R(H0)[:, S]^T, as R(omega, H0) is symmetric; the
-    # unitary factors of two thin QRs drop out of the singular values
+    # dR = -R(H)[:, S] D_S R(H0)[:, S]^T and W = D R(H0) has the nonzero
+    # rows D_S R(H0)[:, S]^T, as R(omega, H0) is symmetric; the unitary
+    # factors of two thin QRs drop out of the singular values
     r_h = np.linalg.qr(operators.resolvent(op_h, omega, supp), mode="r")
     r_h0 = np.linalg.qr(operators.resolvent(op_h0, omega, supp), mode="r")
-    delta_r_norm = schatten.schatten_norm(r_h @ (d.diagonal()[supp, None] * r_h0.T), nb.p)
+    w_core = d.diagonal()[supp, None] * r_h0.T
+    delta_r_norm = schatten.schatten_norm(r_h @ w_core, nb.p)
 
     lam = 1.0 / (operators.eigenvalues(op_h) - omega)
     cloud0 = 1.0 / (operators.eigenvalues(op_h0) - omega)
@@ -417,6 +422,7 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
         link3_delta_r_norm=delta_r_norm,
         link3_bound_structure=bound_struct,
         link3_margin=link3_margin,
+        link3_w_norm=schatten.schatten_norm(w_core, nb.p),
         lt_report=lt,
         composite_constant=composite,
         parameters={"p": nb.p, "N": op_h.size, "boundary": op_h.boundary},

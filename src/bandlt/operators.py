@@ -45,7 +45,7 @@ _PAIR_ROWS = 256
 
 @dataclass
 class DiscretizedOperator:
-    """Assembled model matrix plus the grid and potential samples behind it.
+    """Assembled model matrix plus the grid behind it.
 
     Treat instances as immutable after assembly; the private fields cache
     the spectral decomposition so repeated queries stay cheap.
@@ -56,8 +56,6 @@ class DiscretizedOperator:
     length: float
     boundary: str
     matrix: scipy.sparse.csc_array
-    v0_samples: np.ndarray
-    v_samples: np.ndarray
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
     _hermitian: np.ndarray | None = field(default=None, repr=False)
 
@@ -128,10 +126,8 @@ def discretize(v0, v, length: float, n: int, boundary: str = "dirichlet") -> Dis
         diagonals, offsets = diagonals + [off[:1], off[:1]], offsets + [1 - n, n - 1]
     m = scipy.sparse.csc_array(scipy.sparse.diags(
         diagonals, offsets, shape=(n, n), dtype=complex if complex_v else float))
-    return DiscretizedOperator(
-        size=n, spacing=h, length=float(length), boundary=boundary,
-        matrix=m, v0_samples=v0_arr, v_samples=v_arr,
-    )
+    return DiscretizedOperator(size=n, spacing=h, length=float(length),
+                               boundary=boundary, matrix=m)
 
 
 def _hermitian_spectrum(op: DiscretizedOperator) -> np.ndarray:
@@ -412,8 +408,7 @@ def flag_boundary_artifacts(op: DiscretizedOperator,
 
 
 def spectrum_report(op: DiscretizedOperator, band_set: BandSet,
-                    delta: float | None = None,
-                    flag_artifacts: bool = True) -> SpectrumReport:
+                    delta: float | None = None) -> SpectrumReport:
     """Eigenvalues -> classification -> boundary flags, in one call.
 
     Flagging only applies to Dirichlet boxes; a periodic ring has no
@@ -422,8 +417,7 @@ def spectrum_report(op: DiscretizedOperator, band_set: BandSet,
     if delta is None:
         delta = default_delta(op.spacing, band_set)
     report = classify_discrete(eigenvalues(op), band_set, delta)
-    if (flag_artifacts and op.boundary == "dirichlet"
-            and report.discrete_candidates.size):
+    if op.boundary == "dirichlet" and report.discrete_candidates.size:
         report = flag_boundary_artifacts(op, report)
     return report
 

@@ -10,8 +10,8 @@ and combining with the numerical-range resolvent estimate
 |R(omega, H)| <= 1/(omega_1 - omega) gives the p-th power bound on
 |R(omega,H) - R(omega,H0)|_Sp used by the eigenvalue sums.  This module
 evaluates C1 (quadrature, cross-checked against its Gamma closed form),
-the bounds, the shift omega' that makes W provably small, and the
-measured smallness of W on the matrix model.
+the bounds and the shift omega' that makes W provably small; the chain
+audit in ``ltsums`` measures W on the matrix model.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from . import operators
 from .errors import NumericalError, PreconditionError, ValidationError
 
 
@@ -163,37 +162,3 @@ def omega_prime(nb: NormBundle, a1: float) -> float:
     return -2.0 * (
         0.5 * a1 + 1.0 + nb.v0_inf + (4.0 * nb.c1 * (1.0 + nb.v_p)) ** expo
     )
-
-
-@dataclass(frozen=True)
-class WSmallnessReport:
-    """Measured norms of W(z) = diag(V) R(z, H0) on the matrix model."""
-
-    z: complex
-    operator_norm: float
-    schatten: float
-    p: float
-    small: bool               # operator norm < 1/2, so I + W is invertible
-    norm_ordering_ok: bool    # operator norm <= Schatten norm
-
-
-def w_smallness_check(op_h0: operators.DiscretizedOperator, v_samples,
-                      z: complex, nb: NormBundle) -> WSmallnessReport:
-    """Measure W(z) from its |supp V| nonzero rows (the symmetric R(z, H0)
-    gives rows as columns) and report whether it is a contraction."""
-    v = np.asarray(v_samples).reshape(-1)
-    if v.shape != (op_h0.size,):
-        raise ValidationError("V samples must match the grid size")
-    supp = np.flatnonzero(v)
-    w = v[supp, None] * operators.resolvent(op_h0, z, supp).T
-    op_norm = float(np.linalg.norm(w, 2))
-    sp_norm = schatten_norm(w, nb.p)
-    return WSmallnessReport(
-        z=complex(z),
-        operator_norm=op_norm,
-        schatten=sp_norm,
-        p=nb.p,
-        small=op_norm < 0.5,
-        norm_ordering_ok=op_norm <= sp_norm * (1.0 + 1e-12) + 1e-300,
-    )
-

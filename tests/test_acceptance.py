@@ -296,7 +296,7 @@ def test_criterion_11_accretive_case():
     h = operators.discretize(v0, v, length, n)
     w1 = operators.numerical_range_abscissa(h)
     I = bandset.validate([(0.0, 1.0)], ray_start=2.0)
-    report = operators.spectrum_report(h, I, flag_artifacts=False)
+    report = operators.spectrum_report(h, I)
     res = report.discrete_candidates.real
     ok = w1 >= -1e-10 and (res.size == 0 or float(np.min(res)) >= -1e-8)
     check(11, "accretive perturbation keeps the spectrum right of 0",

@@ -20,9 +20,7 @@ def make_op(matrix, boundary="periodic"):
     matrix = scipy.sparse.csc_array(np.asarray(matrix))
     n = matrix.shape[0]
     return operators.DiscretizedOperator(
-        size=n, spacing=1.0, length=float(n + 1), boundary=boundary,
-        matrix=matrix,
-        v0_samples=np.zeros(n), v_samples=np.zeros(n),
+        size=n, spacing=1.0, length=float(n + 1), boundary=boundary, matrix=matrix,
     )
 
 
@@ -341,7 +339,7 @@ class TestBoundaryArtifacts:
         diag[10] = 7.0      # eigenvector e_10 is interior
         op = operators.DiscretizedOperator(
             size=n, spacing=1.0, length=float(n + 1), boundary="dirichlet",
-            matrix=scipy.sparse.csc_array(np.diag(diag)), v0_samples=np.zeros(n), v_samples=np.zeros(n),
+            matrix=scipy.sparse.csc_array(np.diag(diag)),
         )
         I = bandset.validate([(0.5, 2.0)])
         report = operators.classify_discrete(operators.eigenvalues(op), I, delta=0.5)

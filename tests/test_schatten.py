@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandlt import operators, schatten
+from bandlt import schatten
 from bandlt.errors import PreconditionError, ValidationError
 
 
@@ -155,35 +155,6 @@ class TestOmegaPrime:
     def test_small_p_rejected(self):
         with pytest.raises(PreconditionError):
             schatten.omega_prime(bundle(p=1.5), a1=0.0)
-
-
-class TestWSmallness:
-    def test_zero_potential(self):
-        op = operators.discretize(0.0, 0.0, length=10.0, n=40)
-        rep = schatten.w_smallness_check(op, np.zeros(40), -1.0, bundle(v_p=0.0))
-        assert rep.operator_norm == 0.0
-        assert rep.schatten == 0.0
-        assert rep.small and rep.norm_ordering_ok
-
-    def test_contraction_at_omega_prime(self):
-        n, length = 200, 20.0
-        op = operators.discretize(0.0, 0.0, length=length, n=n)
-        x = op.grid()
-        v = np.where(np.abs(x - 10.0) < 2.0, 0.5 + 0.4j, 0.0)
-        nb = schatten.norm_bundle(2.0, v, op.spacing, v0_inf=0.0)
-        z = schatten.omega_prime(nb, a1=0.0)
-        rep = schatten.w_smallness_check(op, v, z, nb)
-        assert rep.small
-        assert rep.norm_ordering_ok
-
-    def test_norm_ordering_random(self, rng):
-        n = 30
-        op = operators.discretize(rng.uniform(0, 1, n), 0.0, length=8.0, n=n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        nb = schatten.norm_bundle(3.0, v, op.spacing, v0_inf=1.0)
-        for z in (-0.5, -3.0 + 2.0j):
-            rep = schatten.w_smallness_check(op, v, z, nb)
-            assert rep.norm_ordering_ok
 
 
 class TestResolventNormEstimate:
