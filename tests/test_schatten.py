@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandlt import schatten
+from bandlt import bandset, ltsums, operators, schatten
 from bandlt.errors import PreconditionError, ValidationError
 
 
@@ -155,6 +155,36 @@ class TestOmegaPrime:
     def test_small_p_rejected(self):
         with pytest.raises(PreconditionError):
             schatten.omega_prime(bundle(p=1.5), a1=0.0)
+
+
+class TestWSmallness:
+    """|W(omega)|_Sp for W = V R(omega, H0), as the T1 chain reports it."""
+
+    @staticmethod
+    def chain(v0, v, length, p, v0_inf, omega):
+        n = np.asarray(v).size
+        h0 = operators.discretize(v0, 0.0, length, n)
+        h = operators.discretize(v0, v, length, n)
+        report = operators.spectrum_report(h, bandset.validate([(0.0, 1.0)], ray_start=2.0))
+        nb = schatten.norm_bundle(p, v, h.spacing, v0_inf=v0_inf)
+        return h0, ltsums.theorem1_chain(h0, h, report, nb, omega=omega)
+
+    def test_zero_potential(self):
+        _, chain = self.chain(0.0, np.zeros(40), 10.0, 2.0, 0.0, -1.0)
+        assert chain.link3_w_norm == 0.0
+
+    def test_norm_ordering_random(self, rng):
+        # the operator norm of W never exceeds its Schatten norm
+        n = 30
+        v0 = rng.uniform(0, 1, n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        h = operators.discretize(v0, v, 8.0, n)
+        top = min(operators.numerical_range_abscissa(h), 0.0)
+        for shift in (0.5, 3.0):
+            h0, chain = self.chain(v0, v, 8.0, 3.0, 1.0, top - shift)
+            w = v[:, None] * np.linalg.inv(h0.matrix.toarray() - chain.omega * np.eye(n))
+            op_norm = float(np.linalg.norm(w, 2))
+            assert 0.0 < op_norm <= chain.link3_w_norm * (1.0 + 1e-12)
 
 
 class TestResolventNormEstimate:
