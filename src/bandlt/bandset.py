@@ -100,11 +100,15 @@ def validate(edges, ray_start: float | None = None) -> BandSet:
 
 def _interval_dist(x, y, lo, hi):
     """Distance from x + iy (real arrays of one shape) to the union of
-    closed intervals [lo_k, hi_k]: band sets and their Moebius images."""
-    fx = np.ravel(x)
-    dx = np.maximum(lo[:, None] - fx, fx - hi[:, None])
-    np.maximum(dx, 0.0, out=dx)
-    return np.min(np.hypot(dx, np.ravel(y)), axis=0).reshape(np.shape(x))
+    sorted disjoint closed intervals [lo_k, hi_k]: band sets and their
+    Moebius images.  The last interval with lo_k <= x or the next one is
+    nearest, so the result is the min over all K bit for bit."""
+    j = np.searchsorted(lo, x, side="right")
+    k = np.maximum(j - 1, 0)
+    m = np.minimum(j, lo.size - 1)
+    dx = np.minimum(np.maximum(lo[k] - x, x - hi[k]),
+                    np.maximum(lo[m] - x, x - hi[m]))
+    return np.hypot(np.maximum(dx, 0.0), y)
 
 
 def dist_to_bands(z, band_set: BandSet, treat_as_complete: bool = False):

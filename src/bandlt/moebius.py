@@ -18,7 +18,8 @@ the bands:
   ratio r):
       1 / (5 (1 + r)) * 1 / (q (q + a_1 - omega))
 
-``verify_distortion`` samples a region and confirms the ratio dominates
+``verify_distortion`` samples z = omega + r e^(i theta) in the variant's
+region, rejecting draws on Re z alone, and confirms the ratio dominates
 the bound, reporting any violations as data.
 """
 
@@ -44,7 +45,7 @@ VARIANTS = ("halfplane", "gap", "uniform")
 _REGIONS = {"halfplane": (np.array([True, True, False]), "Re z < a_1 or Re z inside a band"),
             "gap": (np.array([False, False, True]), "b_k < Re z < a_(k+1)"),
             "uniform": (np.array([True, True, True]), "any Re z")}
-_SAMPLE_RADII = (1e-3, 1e3)  # modulus range of the default sampler
+_SAMPLE_RADII = (1e-3, 1e3)  # modulus range |z - omega| of the draws
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,8 @@ class MoebiusMap:
 
 @dataclass(frozen=True)
 class MoebiusImage:
-    """Image of a band set: intervals (beta_k, alpha_k) in source-band order.
+    """Image of a band set: intervals (beta_k, alpha_k), in source-band
+    order from ``image_bands`` (any order is accepted).
 
     ``ray_alpha`` is the right endpoint of the terminal ray's image
     (0, ray_alpha]; ``accumulation_at_zero`` marks that 0 is a limit
@@ -107,53 +109,39 @@ def image_bands(band_set: BandSet, mob: MoebiusMap) -> MoebiusImage:
 def dist_to_image(lam, image: MoebiusImage):
     """Distance from lam (scalar or array) to the image set.
 
-    Includes the terminal-ray image [0, ray_alpha] when present and the
+    Includes the terminal-ray image [0, ray_alpha] when present, else the
     accumulation point 0 when flagged.
     """
     ls = np.asarray(lam, dtype=complex)
     ivals = list(image.intervals)
     if image.ray_alpha is not None:
         ivals.append((0.0, image.ray_alpha))
-    if image.accumulation_at_zero:
+    elif image.accumulation_at_zero:
         ivals.append((0.0, 0.0))
-    lo, hi = np.array(ivals, dtype=float).T
-    d = _interval_dist(ls.real, ls.imag, lo, hi)
+    lo, hi = np.array(sorted(ivals), dtype=float).T
+    # the running max keeps the union, and makes hand-built overlapping
+    # intervals safe for the two-neighbour search
+    d = _interval_dist(ls.real, ls.imag, lo, np.maximum.accumulate(hi))
     return float(d) if ls.ndim == 0 else d
 
 
-def _region_codes(z, band_set: BandSet):
-    """Classify Re z against the bands: halfplane / band / gap (+ gap index).
+def _region_codes(x: np.ndarray, band_set: BandSet) -> np.ndarray:
+    """Classify real parts x (1-D) as halfplane / band / gap (int8 codes).
 
-    Edge energies belong to the band (the gap condition is strict).  A
-    point beyond the last band of a ray-free set is not classifiable and
-    raises ValidityCapError.
+    Edge energies belong to the band (the gap condition is strict).  All
+    of x < a_1 is half-plane, so only the rest is searched.  A ray-free
+    set codes x beyond its last band as a gap with no gap to name;
+    callers reject x > validity_cap first.
     """
-    x = np.atleast_1d(np.asarray(z, dtype=complex).real).ravel()
-    lo = band_set.lower_edges()
-    hi = band_set.upper_edges()
-    codes = np.empty(x.shape, dtype=int)
-    gap_idx = np.full(x.shape, -1, dtype=int)
-    idx = np.searchsorted(lo, x, side="right") - 1
-    below = idx < 0
-    codes[below] = _HALFPLANE
-    rest = ~below
-    in_band = rest & (x <= hi[np.clip(idx, 0, len(hi) - 1)])
+    codes = np.full(x.shape, _HALFPLANE, dtype=np.int8)
+    rest = ~(x < band_set.a1)
+    xr = x[rest]
+    idx = np.searchsorted(band_set.lower_edges(), xr, side="right") - 1
+    in_band = xr <= band_set.upper_edges()[idx]
     if band_set.terminal_ray:
-        in_band |= rest & (x >= band_set.ray_start)
-    codes[in_band] = _BAND
-    in_gap = rest & ~in_band
-    if np.any(in_gap):
-        k = idx[in_gap]
-        last_gap_ok = band_set.terminal_ray
-        if not last_gap_ok and np.any(k >= band_set.num_bands - 1):
-            raise ValidityCapError(
-                "Re z beyond the last band of a truncated set cannot be "
-                f"classified (validity_cap={band_set.validity_cap})",
-                cap=band_set.validity_cap,
-            )
-        codes[in_gap] = _GAP
-        gap_idx[in_gap] = k
-    return codes, gap_idx
+        in_band |= xr >= band_set.ray_start
+    codes[rest] = np.where(in_band, np.int8(_BAND), np.int8(_GAP))
+    return codes
 
 
 def distortion_ratio(z, band_set: BandSet, mob: MoebiusMap):
@@ -183,7 +171,14 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
     _require_below_first_edge(mob, band_set)
     zs = np.asarray(z, dtype=complex)
     q = np.abs(np.atleast_1d(zs).ravel() - mob.omega)
-    codes, gap_idx = _region_codes(zs, band_set)
+    x = np.atleast_1d(zs.real).ravel()
+    if not band_set.terminal_ray and not np.all(x <= band_set.validity_cap):
+        raise ValidityCapError(
+            "Re z beyond the last band of a truncated set cannot be "
+            f"classified (validity_cap={band_set.validity_cap})",
+            cap=band_set.validity_cap,
+        )
+    codes = _region_codes(x, band_set)
 
     if not np.all(_REGIONS[variant][0][codes]):
         raise PreconditionError(
@@ -194,6 +189,7 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
         out = 1.0 / (3.0 * q * (q + band_set.a1 - mob.omega))
     elif variant == "gap":
         gl, gr = bandset.gaps(band_set)
+        gap_idx = np.searchsorted(band_set.lower_edges(), x, side="right") - 1
         b_k = gl[gap_idx]
         a_next = gr[gap_idx]
         out = 1.0 / (2.0 * q * q) / (1.0 + (a_next - b_k) / (b_k - mob.omega))
@@ -209,7 +205,11 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
 
 @dataclass
 class VerificationReport:
-    """Outcome of a sampling sweep of ratio-vs-bound; violations are data."""
+    """Outcome of a sampling sweep of ratio-vs-bound; violations are data.
+
+    ``rejected`` counts the draws the region filter discarded; admissible
+    draws past the ``samples`` wanted are dropped without being counted.
+    """
 
     variant: str
     omega: float
@@ -223,32 +223,56 @@ class VerificationReport:
         return asdict(self)
 
 
-def _default_sampler(mob: MoebiusMap, rng: np.random.Generator,
-                     size: int) -> np.ndarray:
-    """Log-uniform modulus around omega, uniform argument.
+def _admit(x: np.ndarray, imag, band_set: BandSet, variant: str):
+    """Indices and Im z of the admissible draws among real parts x.
 
-    The bounds degrade quadratically in |z - omega|, so log sampling
-    exercises both ends of the range.
+    Decides on x first: finite, within validity, in the variant's region.
+    ``imag(idx)`` gives Im z of the survivors only; a real z on a band (on
+    the set) or a non-finite one drops out, so no distance is computed.
     """
-    lo, hi = np.log(_SAMPLE_RADII[0]), np.log(_SAMPLE_RADII[1])
-    r = np.exp(rng.uniform(lo, hi, size))
-    theta = rng.uniform(0.0, 2.0 * np.pi, size)
-    return mob.omega + r * np.exp(1j * theta)
-
-
-def _region_filter(z: np.ndarray, band_set: BandSet, variant: str) -> np.ndarray:
-    """Keep z off the set, inside validity, and inside the variant's region.
-
-    z is on the set exactly when it is real and its region code is a
-    band, so no distance is computed here.
-    """
-    keep = np.isfinite(z)
+    codes = _region_codes(x, band_set)
+    keep = _REGIONS[variant][0][codes]
+    keep &= np.isfinite(x)
     if not band_set.terminal_ray:
-        keep &= z.real <= band_set.validity_cap
-    zk = z[keep]
-    codes, _ = _region_codes(zk, band_set)
-    keep[keep] = ((codes != _BAND) | (zk.imag != 0.0)) & _REGIONS[variant][0][codes]
-    return keep
+        keep &= x <= band_set.validity_cap
+    idx = np.flatnonzero(keep)
+    y = imag(idx)
+    off_set = np.isfinite(y) & ((y != 0.0) | (codes[idx] != _BAND))
+    idx = idx[off_set]
+    return idx, y[off_set]
+
+
+def _sample(band_set: BandSet, mob: MoebiusMap, variant: str, n: int,
+            rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """The first n admissible draws and the number of draws rejected."""
+    z = np.empty(n, dtype=complex)
+    kept = rejected = attempts = 0
+    while kept < n and attempts < max(1_000_000, 2000 * n):
+        size = min(max(4 * (n - kept), 4096), 1 << 20)
+        r = np.exp(rng.uniform(*np.log(_SAMPLE_RADII), size))
+        theta = rng.uniform(0.0, 2.0 * np.pi, size)
+        x = np.cos(theta)
+        x *= r
+        x += mob.omega
+
+        def imag(i):
+            y = np.sin(theta[i])
+            y *= r[i]
+            return y
+
+        idx, y = _admit(x, imag, band_set, variant)
+        attempts += size
+        rejected += size - idx.size
+        m = min(idx.size, n - kept)
+        z.real[kept:kept + m] = x[idx[:m]]
+        z.imag[kept:kept + m] = y[:m]
+        kept += m
+    if kept < n:
+        raise NumericalError(
+            f"sampling produced only {kept}/{n} admissible points "
+            f"in {attempts} draws for variant {variant!r}"
+        )
+    return z, rejected
 
 
 def verify_distortion(
@@ -257,52 +281,28 @@ def verify_distortion(
     variant: str = "uniform",
     n: int = 10_000,
     rng: np.random.Generator | None = None,
-    sampler=None,
     tolerance: float = 1e-12,
-    max_attempts: int | None = None,
 ) -> VerificationReport:
     """Sample the variant's region and check ratio >= bound (relative tolerance).
 
-    ``sampler(rng, size)`` may replace the default log-uniform draw; its
-    points are still filtered to the admissible region, with discards
-    counted as rejected.  Returns a report; violations never raise.
+    Each round draws log-uniform r = |z - omega| in _SAMPLE_RADII, then
+    uniform theta = arg(z - omega), and keeps the admissible draws in
+    order.  Rejection reads only Re z = omega + r cos(theta); Im z =
+    r sin(theta) is computed for the survivors (the bits of omega +
+    r exp(i theta)).  Raises NumericalError when max(10^6, 2000 n) draws
+    hold fewer than n admissible points.  Returns a report; violations
+    never raise.
     """
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}; expected {VARIANTS}")
-    rng = rng if rng is not None else np.random.default_rng()
-    draw = sampler if sampler is not None else (
-        lambda g, size: _default_sampler(mob, g, size)
-    )
-    if max_attempts is None:
-        max_attempts = max(1_000_000, 2000 * n)
-
-    accepted: list[np.ndarray] = []
-    total_kept = 0
-    rejected = 0
-    attempts = 0
-    while total_kept < n and attempts < max_attempts:
-        size = min(max(4 * (n - total_kept), 4096), 1 << 20)
-        z = np.asarray(draw(rng, size), dtype=complex)
-        attempts += z.size
-        keep = _region_filter(z, band_set, variant)
-        rejected += int(z.size - keep.sum())
-        kept = z[keep][: n - total_kept]
-        if kept.size:
-            accepted.append(kept)
-            total_kept += kept.size
-    if total_kept < n:
-        raise NumericalError(
-            f"sampler produced only {total_kept}/{n} admissible points "
-            f"in {attempts} draws for variant {variant!r}"
-        )
-
+    z, rejected = _sample(band_set, mob, variant, n,
+                          rng if rng is not None else np.random.default_rng())
     if n == 0:
         return VerificationReport(
             variant=variant, omega=mob.omega, samples=0, rejected=rejected,
             min_quotient=None, tolerance=tolerance,
         )
 
-    z = np.concatenate(accepted)
     ratio = distortion_ratio(z, band_set, mob)
     bound = distortion_bound(z, band_set, mob, variant)
     quotient = ratio / bound

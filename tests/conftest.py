@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bandlt import bandset
 
@@ -40,3 +41,40 @@ def nearest_sample_distance(z, samples):
         j = np.clip(idx + shift, 0, samples.size - 1)
         best = np.minimum(best, np.abs(zs - samples[j]))
     return best
+
+
+def pairwise_interval_dist(x, y, lo, hi):
+    """Distance from x + iy to the union of closed intervals [lo_k, hi_k]
+    as the min over all K intervals (a K x len(x) array): the oracle for
+    bandset._interval_dist, which searches two neighbours."""
+    fx = np.ravel(x)
+    dx = np.maximum(lo[:, None] - fx, fx - hi[:, None])
+    np.maximum(dx, 0.0, out=dx)
+    return np.min(np.hypot(dx, np.ravel(y)), axis=0).reshape(np.shape(x))
+
+
+@st.composite
+def sorted_intervals(draw, min_value=-1e3, max_value=1e3, max_size=6):
+    """(lo, hi) arrays of 1 to max_size sorted disjoint closed intervals."""
+    k = draw(st.integers(1, max_size))
+    ends = draw(st.lists(
+        st.floats(min_value, max_value, allow_nan=False, allow_subnormal=False),
+        min_size=2 * k, max_size=2 * k, unique=True,
+    ))
+    ends = np.sort(np.asarray(ends, dtype=float))
+    return ends[0::2], ends[1::2]
+
+
+def edge_probes(draw, lo, hi):
+    """Real parts on every edge, at its float neighbours, past both ends
+    and in between; imaginary parts 0, tiny and ordinary."""
+    edges = np.concatenate([lo, hi])
+    far = draw(st.floats(1e-9, 1e6))
+    inner = draw(st.lists(st.floats(float(lo[0]), float(hi[-1])), max_size=8))
+    x = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [lo[0] - far, hi[-1] + far, -1e300, 1e300], inner,
+    ])
+    y = np.array([0.0, 1e-300, -1e-300, draw(st.floats(-1e3, 1e3))])
+    xx, yy = np.meshgrid(x, y)
+    return xx.ravel(), yy.ravel()

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from bandlt import bandset
 from bandlt.errors import PreconditionError, ValidationError, ValidityCapError
 
-from conftest import nearest_sample_distance, sample_band_points
+from conftest import (
+    edge_probes,
+    nearest_sample_distance,
+    pairwise_interval_dist,
+    sample_band_points,
+    sorted_intervals,
+)
 
 
 class TestValidate:
@@ -98,6 +105,35 @@ class TestDistance:
         brute = nearest_sample_distance(z, pts)
         assert np.all(brute - exact >= -1e-14)
         assert np.all(brute - exact <= 1e-4 * (1.0 + np.abs(z)))
+
+
+class TestTwoNeighbourDistance:
+    """_interval_dist against the min over all intervals, byte for byte."""
+
+    @given(ivals=sorted_intervals(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_pairwise(self, ivals, data):
+        lo, hi = ivals
+        x, y = edge_probes(data.draw, lo, hi)
+        want = pairwise_interval_dist(x, y, lo, hi)
+        assert bandset._interval_dist(x, y, lo, hi).tobytes() == want.tobytes()
+        assert bandset._interval_dist(x[0], y[0], lo, hi) == want[0]
+
+    @given(ivals=sorted_intervals(min_value=0.0), data=st.data(),
+           ray=st.booleans(), complete=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_dist_to_bands_matches_pairwise(self, ivals, data, ray, complete):
+        lo, hi = ivals
+        ray_start = hi[-1] + data.draw(st.floats(1e-6, 1e3)) if ray else None
+        I = bandset.validate(list(zip(lo, hi)), ray_start=ray_start)
+        x, y = edge_probes(data.draw, lo, hi)
+        if not (ray or complete):
+            x, y = x[x <= I.validity_cap], y[x <= I.validity_cap]
+        z = x + 1j * y
+        got = bandset.dist_to_bands(z, I, treat_as_complete=complete)
+        with mock.patch.object(bandset, "_interval_dist", pairwise_interval_dist):
+            want = bandset.dist_to_bands(z, I, treat_as_complete=complete)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGapRatio:

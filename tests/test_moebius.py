@@ -1,10 +1,105 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bandlt import bandset, moebius
-from bandlt.errors import NumericalError, PoleError, PreconditionError
+from bandlt.errors import NumericalError, PoleError, PreconditionError, ValidityCapError
+
+from conftest import edge_probes, pairwise_interval_dist, sorted_intervals
+
+# q = 2 Mathieu band set up to e_max = 30
+_MATHIEU_Q2_EDGES = [
+    (0.9298702954251432, 0.9352042748543419), (2.579502042518762, 2.6867202567845627),
+    (3.707268708645634, 4.315361533022722), (4.6677567758953185, 6.1130088225343435),
+    (6.1624547266856755, 8.332636217964687), (8.335939408268501, 11.057352856451214),
+    (11.057488126593993, 14.291766934219932), (14.291770676617263, 30.0),
+]
+
+
+# Reference sampling loop: complex draws omega + r exp(i theta), classified
+# as a whole and filtered in one pass.  verify_distortion must reproduce its
+# report bit for bit.
+
+def _ref_region_codes(z, band_set):
+    x = np.atleast_1d(np.asarray(z, dtype=complex).real).ravel()
+    lo = band_set.lower_edges()
+    hi = band_set.upper_edges()
+    codes = np.empty(x.shape, dtype=int)
+    gap_idx = np.full(x.shape, -1, dtype=int)
+    idx = np.searchsorted(lo, x, side="right") - 1
+    below = idx < 0
+    codes[below] = moebius._HALFPLANE
+    rest = ~below
+    in_band = rest & (x <= hi[np.clip(idx, 0, len(hi) - 1)])
+    if band_set.terminal_ray:
+        in_band |= rest & (x >= band_set.ray_start)
+    codes[in_band] = moebius._BAND
+    in_gap = rest & ~in_band
+    if np.any(in_gap):
+        k = idx[in_gap]
+        last_gap_ok = band_set.terminal_ray
+        if not last_gap_ok and np.any(k >= band_set.num_bands - 1):
+            raise ValidityCapError(
+                "Re z beyond the last band of a truncated set cannot be "
+                f"classified (validity_cap={band_set.validity_cap})",
+                cap=band_set.validity_cap,
+            )
+        codes[in_gap] = moebius._GAP
+        gap_idx[in_gap] = k
+    return codes, gap_idx
+
+
+def _default_sampler(mob, rng, size):
+    lo, hi = np.log(moebius._SAMPLE_RADII[0]), np.log(moebius._SAMPLE_RADII[1])
+    r = np.exp(rng.uniform(lo, hi, size))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size)
+    return mob.omega + r * np.exp(1j * theta)
+
+
+def _region_filter(z, band_set, variant):
+    keep = np.isfinite(z)
+    if not band_set.terminal_ray:
+        keep &= z.real <= band_set.validity_cap
+    zk = z[keep]
+    codes, _ = _ref_region_codes(zk, band_set)
+    keep[keep] = ((codes != moebius._BAND) | (zk.imag != 0.0)) & moebius._REGIONS[variant][0][codes]
+    return keep
+
+
+def _reference_verify(band_set, mob, variant, n, rng, tolerance):
+    max_attempts = max(1_000_000, 2000 * n)
+    accepted = []
+    total_kept = 0
+    rejected = 0
+    attempts = 0
+    while total_kept < n and attempts < max_attempts:
+        size = min(max(4 * (n - total_kept), 4096), 1 << 20)
+        z = np.asarray(_default_sampler(mob, rng, size), dtype=complex)
+        attempts += z.size
+        keep = _region_filter(z, band_set, variant)
+        rejected += int(z.size - keep.sum())
+        kept = z[keep][: n - total_kept]
+        if kept.size:
+            accepted.append(kept)
+            total_kept += kept.size
+    z = np.concatenate(accepted)
+    ratio = moebius.distortion_ratio(z, band_set, mob)
+    bound = moebius.distortion_bound(z, band_set, mob, variant)
+    quotient = ratio / bound
+    bad = quotient < 1.0 - tolerance
+    violations = [
+        {"z": [float(w.real), float(w.imag)], "ratio": float(r), "bound": float(b)}
+        for w, r, b in zip(z[bad], ratio[bad], bound[bad])
+    ]
+    return moebius.VerificationReport(
+        variant=variant, omega=mob.omega, samples=int(n), rejected=rejected,
+        min_quotient=float(np.min(quotient)), tolerance=tolerance, violations=violations,
+    )
 
 
 class TestApply:
@@ -74,6 +169,54 @@ class TestDistToImage:
             intervals=((0.5, 1.0),), accumulation_at_zero=True, ray_alpha=0.25
         )
         assert moebius.dist_to_image(0.2 + 0.05j, img) == pytest.approx(0.05)
+
+
+def _pairwise_dist_to_image(lam, image):
+    """Every interval, the ray image and the origin, in any order."""
+    ls = np.asarray(lam, dtype=complex)
+    ivals = list(image.intervals)
+    if image.ray_alpha is not None:
+        ivals.append((0.0, image.ray_alpha))
+    if image.accumulation_at_zero:
+        ivals.append((0.0, 0.0))
+    lo, hi = np.array(ivals, dtype=float).T
+    return pairwise_interval_dist(ls.real, ls.imag, lo, hi)
+
+
+class TestDistToImageTwoNeighbours:
+    @given(ivals=sorted_intervals(min_value=0.0), data=st.data(), ray=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_image_bands(self, ivals, data, ray):
+        lo, hi = ivals
+        ray_start = hi[-1] + data.draw(st.floats(1e-6, 1e3)) if ray else None
+        I = bandset.validate(list(zip(lo, hi)), ray_start=ray_start)
+        mob = moebius.MoebiusMap(lo[0] - data.draw(st.floats(1e-3, 1e3)))
+        try:
+            img = moebius.image_bands(I, mob)
+        except NumericalError:  # neighbouring edges mapped to one float
+            assume(False)
+        ilo, ihi = np.array(sorted(img.intervals + ((0.0, img.ray_alpha or 0.0),))).T
+        x, y = edge_probes(data.draw, ilo, ihi)
+        lam = x + 1j * y
+        got = moebius.dist_to_image(lam, img)
+        assert got.tobytes() == _pairwise_dist_to_image(lam, img).tobytes()
+
+    @given(ivals=sorted_intervals(), data=st.data(), ray=st.booleans(),
+           shuffle=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_hand_built(self, ivals, data, ray, shuffle):
+        lo, hi = ivals
+        pairs = list(zip(lo.tolist(), hi.tolist()))
+        if shuffle:  # any order, overlaps and nesting included
+            pairs = data.draw(st.permutations(pairs + [(lo[0], hi[-1])]))
+        img = moebius.MoebiusImage(
+            intervals=tuple(pairs), accumulation_at_zero=True,
+            ray_alpha=abs(data.draw(st.floats(1e-6, 1e3))) if ray else None,
+        )
+        x, y = edge_probes(data.draw, lo, hi)
+        lam = np.concatenate([x, [0.0, 1e-300]]) + 1j * np.concatenate([y, [0.0, 0.0]])
+        got = moebius.dist_to_image(lam, img)
+        assert got.tobytes() == _pairwise_dist_to_image(lam, img).tobytes()
 
 
 class TestDistortionRatio:
@@ -209,29 +352,11 @@ class TestVerifyDistortion:
         assert report.violations == []
         assert report.min_quotient is None
 
-    def test_in_band_points_counted_rejected(self, three_bands, rng):
-        # sampler that half the time emits band-interior points
-        def sampler(g, size):
-            z = moebius._default_sampler(moebius.MoebiusMap(-0.5), g, size)
-            z[::2] = g.uniform(1.0, 2.0, z[::2].size)  # inside band 1
-            return z
-
-        report = moebius.verify_distortion(
-            three_bands, moebius.MoebiusMap(-0.5), "uniform",
-            n=500, rng=rng, sampler=sampler,
-        )
-        assert report.samples == 500
-        assert report.rejected >= 500
-
-    def test_sampler_never_admissible_raises(self, three_bands, rng):
-        def bad_sampler(g, size):
-            return np.full(size, 1.5 + 0j)  # always inside a band
-
-        with pytest.raises(NumericalError):
-            moebius.verify_distortion(
-                three_bands, moebius.MoebiusMap(-0.5), "uniform",
-                n=10, rng=rng, sampler=bad_sampler, max_attempts=50_000,
-            )
+    def test_sampler_never_admissible_raises(self, rng):
+        # the draws keep |z| <= 1e3, so the gap (2001, 2002) is out of reach
+        I = bandset.validate([(2000, 2001), (2002, 2003)])
+        with pytest.raises(NumericalError, match="0/10 admissible"):
+            moebius.verify_distortion(I, moebius.MoebiusMap(0.0), "gap", n=10, rng=rng)
 
     @pytest.mark.parametrize("ray", [False, True])
     def test_off_set_mask_matches_distance(self, rng, ray):
@@ -246,11 +371,40 @@ class TestVerifyDistortion:
             edges + 1e-300j,
             rng.uniform(-2.0, 14.0, 2000) + 1j * rng.normal(0.0, 1.0, 2000),
         ])
-        keep = moebius._region_filter(z, I, "uniform")
+        idx, y = moebius._admit(z.real, lambda i: z.imag[i], I, "uniform")
+        assert np.array_equal(y, z.imag[idx])
+        keep = np.zeros(z.size, dtype=bool)
+        keep[idx] = True
         valid = np.isfinite(z) & (ray or z.real <= I.validity_cap)
         assert np.array_equal(keep[valid], bandset.dist_to_bands(z[valid], I) > 0.0)
         assert not np.any(keep[~valid])
         assert 0 < keep.sum() < z.size
+
+    @pytest.mark.parametrize("ray", [False, True])
+    @pytest.mark.parametrize("omega", [0.0, -0.5, -5.0])
+    @pytest.mark.parametrize("variant", moebius.VARIANTS)
+    def test_matches_reference_loop(self, ray, omega, variant):
+        I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
+        mob = moebius.MoebiusMap(omega)
+        got = moebius.verify_distortion(I, mob, variant, n=1500, tolerance=-math.inf,
+                                        rng=np.random.default_rng(7))
+        want = _reference_verify(I, mob, variant, n=1500, tolerance=-math.inf,
+                                 rng=np.random.default_rng(7))
+        assert len(got.violations) == got.samples == 1500  # every kept z is listed
+        assert got == want
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    def test_peak_memory(self):
+        # parent of the real-first filter: 29 MiB (complex draws, int64 codes)
+        I = bandset.validate(_MATHIEU_Q2_EDGES)
+        tracemalloc.start()
+        try:
+            moebius.verify_distortion(I, moebius.MoebiusMap(0.0), "uniform", n=100_000,
+                                      rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_report_json_shape(self, three_bands, rng):
         report = moebius.verify_distortion(
