@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import bandset, hill, ltsums, moebius, operators, schatten
-from .errors import BandLTError, ConfigError, exit_code_for
+from .errors import EXIT_NUMERICAL, BandLTError, ConfigError, exit_code_for
 
 COMMANDS = ("bands", "distort", "spectrum", "ltcheck", "hansmann", "sweep")
 THEOREMS = ("T1", "T1simplified", "T2", "T3")
@@ -255,6 +255,8 @@ def build_background(cfg: Cfg) -> Background:
 
     exps = cfg.sub("exponents", required=False)
     p = exps.number("p", default=2.0) if exps else 2.0
+    if not p > 1:
+        raise ConfigError("'exponents.p' must exceed 1")
     delta = cfg.number_or_auto("delta")
     if delta is None:
         delta = operators.default_delta(h, I)
@@ -497,11 +499,14 @@ def cmd_ltcheck(cfg: Cfg, seed, outputs) -> dict:
 
 def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
     h = cfg.sub("hansmann")
+    p = h.number("p", default=2.0)
+    if not p > 1:
+        raise ConfigError("'hansmann.p' must exceed 1")
     rng = np.random.default_rng(seed)
     report = ltsums.hansmann_ensemble(
         n=h.integer("n", default=50, lo=2, hi=operators.DENSE_SOLVER_CAP),
         trials=h.integer("trials", default=100, lo=1, hi=_MAX_TRIALS),
-        p=h.number("p", default=2.0),
+        p=p,
         perturbation_scale=h.number("scale", default=0.5),
         rng=rng,
         diagonal=h.boolean("diagonal", False),
@@ -559,6 +564,10 @@ def run(config: dict, command: str | None = None, seed: int | None = None,
         return 0, result
     except BandLTError as exc:
         return exit_code_for(exc), {"error": str(exc), "type": type(exc).__name__}
+    except ArithmeticError as exc:
+        # float overflow or division by zero in any bound formula
+        return EXIT_NUMERICAL, {"error": f"float arithmetic failed: {exc}",
+                                "type": type(exc).__name__}
 
 
 def load_config(path: str) -> dict:

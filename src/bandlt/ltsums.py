@@ -409,7 +409,7 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
     spectral_sum = float(np.sum(operators.point_cloud_distance(lam, cloud0) ** nb.p))
     link2 = _ratio(spectral_sum, delta_r_norm**nb.p)
 
-    bound_struct = schatten.resolvent_diff_bound(omega, omega1, nb, I.a1).total
+    bound_struct = schatten.resolvent_diff_bound(omega, omega1, nb, I.a1)
     link3_margin = _ratio(bound_struct, delta_r_norm**nb.p)
 
     lt = lt_sum_t1(report, omega, omega1, nb)

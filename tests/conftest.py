@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import strategies as st
 
 from bandlt import bandset
+from bandlt.errors import NumericalError, PreconditionError
 
 
 @pytest.fixture
@@ -14,6 +18,20 @@ def rng():
 def three_bands():
     """Gap ratio 0.5: max(1/2, 2/4)."""
     return bandset.validate([(1, 2), (3, 4), (6, 8)])
+
+
+def c1_quadrature(p: float) -> float:
+    """sqrt(2) ((1/2pi) int dx/(x^2+1)^p)^(1/p) by adaptive quadrature: the
+    oracle for the Gamma closed form schatten.c1_constant."""
+    if p <= 0.5:
+        raise PreconditionError("integral diverges for p <= 1/2")
+    val, err = scipy.integrate.quad(
+        lambda x: (x * x + 1.0) ** (-p), -np.inf, np.inf,
+        epsabs=1e-14, epsrel=1e-13,
+    )
+    if err > 1e-10 * max(1.0, val):
+        raise NumericalError(f"quadrature error estimate {err:.2e} too large")
+    return math.sqrt(2.0) * (val / (2.0 * math.pi)) ** (1.0 / p)
 
 
 def sample_band_points(band_set, total):

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from bandlt import bandset, hill, ltsums, moebius, operators, schatten
 
-from conftest import nearest_sample_distance, sample_band_points
+from conftest import c1_quadrature, nearest_sample_distance, sample_band_points
 
 STANDARD_EDGES = [(1.0, 2.0), (3.0, 4.0), (6.0, 8.0)]
 
@@ -174,7 +174,7 @@ def test_criterion_05_hill_mathieu_vs_oracle():
 
 def test_criterion_06_c1_constant():
     vals_ok = all(
-        abs(schatten.c1_constant(p) - schatten.c1_gamma(p)) < 1e-10
+        abs(c1_quadrature(p) - schatten.c1_constant(p)) < 1e-10
         for p in (2.0, 3.0, 5.5)
     )
     base_ok = abs(schatten.c1_constant(2.0) - math.sqrt(2) / 2) < 1e-10
@@ -182,8 +182,7 @@ def test_criterion_06_c1_constant():
 
 
 def test_criterion_07_omega_prime():
-    nb = schatten.NormBundle(p=2.0, v_p=0.0, v0_inf=0.0,
-                             c1=schatten.c1_constant(2.0))
+    nb = schatten.NormBundle(p=2.0, v_p=0.0, v0_inf=0.0)
     got = schatten.omega_prime(nb, a1=0.0)
     check(7, "contraction shift closed value -10", abs(got + 10.0) < 1e-9,
           f"got {got!r}")

@@ -1,13 +1,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from bandlt import bandset, cli, hill, ltsums, moebius, operators
-from bandlt.errors import EXIT_CONFIG, EXIT_HYPOTHESIS, ConfigError, ValidationError
+from bandlt.errors import (EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL, ConfigError,
+                           ValidationError)
 
 
 @pytest.fixture(scope="module")
@@ -161,9 +166,12 @@ class TestConfigHandling:
         ("bands", lambda d: d.update(v0={"type": "cos"}), "v0.q"),
         ("bands", lambda d: d.update(v0={"type": "cos", "q": "x"}), "v0.q"),
         ("spectrum", lambda d: d["v"].update(amplitude=["a", 1]), "v.amplitude[0]"),
+        ("ltcheck", lambda d: d["exponents"].update(p=1.0), "exponents.p"),
+        ("hansmann", lambda d: d.update(hansmann={"n": 5, "trials": 3, "p": 1.0}),
+         "hansmann.p"),
     ], ids=["file-missing", "file-not-json", "alpha-string", "alpha-null",
             "a_values-string", "e_max-int-overflow", "q-missing", "q-string",
-            "amplitude-string"])
+            "amplitude-string", "p-at-one", "hansmann-p-at-one"])
     def test_malformed_field_exits_2(self, tmp_path, bands_file, command, edit, field):
         doc = spectrum_config(bands_file, theorem="T1", alphas=[1.0],
                               distort={"omega": -0.5, "samples": 10})
@@ -205,6 +213,38 @@ class TestConfigHandling:
     def test_missing_file(self):
         with pytest.raises(cli.ConfigError):
             cli.load_config("/nonexistent/path.yaml")
+
+
+class TestFloatFailures:
+    HUGE_V = {"type": "bump", "center": 25.0, "halfwidth": 3.0, "amplitude": [1e160, 0]}
+
+    @pytest.mark.parametrize("command, changes", [
+        ("ltcheck", {"theorem": "T1", "v": HUGE_V}),
+        ("ltcheck", {"theorem": "T2", "v": HUGE_V}),
+        ("ltcheck", {"theorem": "T3", "v": HUGE_V}),
+        ("ltcheck", {"theorem": "T1", "exponents": {"p": 1000}}),
+        ("ltcheck", {"theorem": "T1simplified", "exponents": {"p": 1000}}),
+        ("ltcheck", {"theorem": "T2", "exponents": {"p": 1000}}),
+        ("ltcheck", {"theorem": "T1", "exponents": {"p": 1e300}}),
+        ("hansmann", {"hansmann": {"n": 5, "trials": 3, "p": 1e5}}),
+    ], ids=["amplitude-T1", "amplitude-T2", "amplitude-T3", "p1000-T1",
+            "p1000-T1simplified", "p1000-T2", "p1e300-T1", "hansmann-p1e5"])
+    def test_overflow_exits_4(self, tmp_path, bands_file, command, changes):
+        # finite configs whose bound formulas overflow or divide by zero
+        doc = spectrum_config(bands_file, output={}, **changes)
+        doc["grid"]["points"] = 60
+        status, result = cli.run(doc, command=command, seed=1, out_dir=str(tmp_path))
+        assert status == EXIT_NUMERICAL, result
+        assert "float arithmetic failed" in result["error"]
+
+    def test_import_leaves_out_quadrature_and_special_functions(self):
+        mods = ("scipy.integrate", "scipy.special", "scipy.optimize")
+        code = f"import sys, bandlt.cli; print(*(m for m in {mods!r} if m in sys.modules))"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == []
 
 
 class TestBandsCommand:

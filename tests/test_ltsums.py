@@ -10,7 +10,7 @@ from bandlt.errors import HypothesisViolationError, NumericalError, Precondition
 
 
 def bundle(p=2.0, v_p=1.0, v0_inf=0.0):
-    return schatten.NormBundle(p=p, v_p=v_p, v0_inf=v0_inf, c1=schatten.c1_constant(p))
+    return schatten.NormBundle(p=p, v_p=v_p, v0_inf=v0_inf)
 
 
 def report_for(eigs, band_set, delta):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bandlt import bandset, ltsums, operators, schatten
 from bandlt.errors import PreconditionError, ValidationError
 
+from conftest import c1_quadrature
+
 
 class TestSchattenNorm:
     def test_frobenius(self):
@@ -67,11 +69,19 @@ class TestC1:
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 5.5])
     def test_quadrature_matches_gamma(self, p):
-        assert abs(schatten.c1_constant(p) - schatten.c1_gamma(p)) < 1e-10
+        assert abs(c1_quadrature(p) - schatten.c1_constant(p)) < 1e-10
 
     def test_agreement_across_range(self):
         for p in np.linspace(1.1, 10.0, 28):
-            assert abs(schatten.c1_constant(float(p)) - schatten.c1_gamma(float(p))) < 1e-10
+            assert abs(c1_quadrature(float(p)) - schatten.c1_constant(float(p))) < 1e-10
+
+    @pytest.mark.parametrize("p, rel", [(1e6, 1e-4), (1e300, 1e-15)])
+    def test_large_exponent_tends_to_sqrt2(self, p, rel):
+        # C1(p)^p = Gamma(p-1/2) 2^(p/2) / (2 sqrt(pi) Gamma(p)), so
+        # C1(p) / sqrt(2) = 1 - O(log(p) / p)
+        got = schatten.c1_constant(p)
+        assert math.isfinite(got)
+        assert got <= math.sqrt(2) and got == pytest.approx(math.sqrt(2), rel=rel)
 
     def test_divergent_exponent_rejected(self):
         with pytest.raises(PreconditionError):
@@ -86,15 +96,11 @@ class TestNormBundle:
 
     def test_bad_exponent(self):
         with pytest.raises(ValidationError):
-            schatten.NormBundle(p=1.0, v_p=0.0, v0_inf=0.0, c1=1.0)
-
-    def test_bad_c1(self):
-        with pytest.raises(ValidationError, match="C1"):
-            schatten.NormBundle(p=2.0, v_p=0.0, v0_inf=0.0, c1=0.5)
+            schatten.NormBundle(p=1.0, v_p=0.0, v0_inf=0.0)
 
 
 def bundle(p=2.0, v_p=1.0, v0_inf=0.0):
-    return schatten.NormBundle(p=p, v_p=v_p, v0_inf=v0_inf, c1=schatten.c1_constant(p))
+    return schatten.NormBundle(p=p, v_p=v_p, v0_inf=v0_inf)
 
 
 class TestBoundW:
@@ -118,19 +124,20 @@ class TestBoundW:
 
 class TestResolventDiffBound:
     def test_frozen_value(self):
-        got = schatten.resolvent_diff_bound(-10.0, 0.0, bundle(), a1=0.0)
-        assert got.total == pytest.approx(0.5 / 10**3.5, rel=1e-12)
-        assert got.total == pytest.approx(1.5811388300841895e-4, rel=1e-10)
-        assert got.total == pytest.approx(got.w_factor * got.resolvent_factor)
+        nb = bundle()
+        got = schatten.resolvent_diff_bound(-10.0, 0.0, nb, a1=0.0)
+        assert got == pytest.approx(0.5 / 10**3.5, rel=1e-12)
+        assert got == pytest.approx(1.5811388300841895e-4, rel=1e-10)
+        assert got == pytest.approx(schatten.bound_w(-10.0, nb, a1=0.0) ** 2 * 10.0**-2)
 
     def test_vanishes_far_left(self):
         nb = bundle(v0_inf=2.0)
-        near = schatten.resolvent_diff_bound(-5.0, -1.0, nb, a1=1.0).total
-        far = schatten.resolvent_diff_bound(-5000.0, -1.0, nb, a1=1.0).total
+        near = schatten.resolvent_diff_bound(-5.0, -1.0, nb, a1=1.0)
+        far = schatten.resolvent_diff_bound(-5000.0, -1.0, nb, a1=1.0)
         assert far < near * 1e-6
 
     def test_zero_potential(self):
-        assert schatten.resolvent_diff_bound(-2.0, 0.0, bundle(v_p=0.0), a1=0.0).total == 0.0
+        assert schatten.resolvent_diff_bound(-2.0, 0.0, bundle(v_p=0.0), a1=0.0) == 0.0
 
     def test_order_precondition(self):
         with pytest.raises(PreconditionError):
