@@ -69,9 +69,22 @@ def _distances(report: SpectrumReport) -> tuple[np.ndarray, np.ndarray]:
     return zs, bs.dist_to_bands(zs, report.band_set)
 
 
+def _no_underflow(value: float, positive: bool, what: str) -> float:
+    """value; a sum or power of positive terms rounded to 0 fails like overflow."""
+    if value == 0.0 and positive:
+        raise FloatingPointError(f"{what} underflowed to 0")
+    return value
+
+
 def _dist_sum(d: np.ndarray, p: float, denom) -> float:
     """sum d^p / denom: the left side of every bound family."""
-    return float(np.sum(d**p / denom))
+    return _no_underflow(float(np.sum(d**p / denom)), bool(np.any(d > 0.0)),
+                         f"sum of {d.size} terms d^p / kernel at p={p}")
+
+
+def _vp_power(nb: NormBundle) -> float:
+    """|V|_p^p: the perturbation factor of every right side."""
+    return _no_underflow(nb.v_p**nb.p, nb.v_p > 0.0, f"|V|_p^p at p={nb.p}")
 
 
 def _require_p2(nb: NormBundle) -> None:
@@ -101,7 +114,7 @@ def lt_sum_t1(report: SpectrumReport, omega: float, omega1: float,
     I = report.band_set
     lhs = _dist_sum(d, nb.p, (np.abs(zs - omega) + abs(omega)) ** (2 * nb.p))
     rhs = (
-        nb.v_p**nb.p / ((omega1 - omega) ** nb.p * abs(omega) ** (nb.p - 0.5))
+        _vp_power(nb) / ((omega1 - omega) ** nb.p * abs(omega) ** (nb.p - 0.5))
         * (1.0 + nb.v0_inf / (I.a1 + abs(omega))) ** nb.p
     )
     params = _base_params(report, nb)
@@ -117,7 +130,7 @@ def lt_sum_t1_simplified(report: SpectrumReport, omega: float, omega1: float,
         raise PreconditionError("need omega < omega_1 - 1")
     zs, d = _distances(report)
     lhs = _dist_sum(d, nb.p, (1.0 + np.abs(zs)) ** (2 * nb.p))
-    rhs = abs(omega) ** (nb.p + 0.5) * (1.0 + nb.v0_inf) ** nb.p * nb.v_p**nb.p
+    rhs = abs(omega) ** (nb.p + 0.5) * (1.0 + nb.v0_inf) ** nb.p * _vp_power(nb)
     params = _base_params(report, nb)
     params.update({"omega": omega, "omega1": omega1})
     return LTReport("T1simplified", lhs, rhs, _ratio(lhs, rhs), params, int(zs.size))
@@ -129,7 +142,7 @@ def lt_sum_t2(report: SpectrumReport, nb: NormBundle, a1: float) -> LTReport:
     zs, d = _distances(report)
     lhs = _dist_sum(d, nb.p, (1.0 + np.abs(zs)) ** (2 * nb.p))
     expo = nb.p * (2.0 * nb.p + 1.0) / (2.0 * nb.p - 1.0)
-    rhs = (1.0 + nb.v0_inf) ** nb.p * (1.0 + nb.v_p) ** expo * nb.v_p**nb.p
+    rhs = (1.0 + nb.v0_inf) ** nb.p * (1.0 + nb.v_p) ** expo * _vp_power(nb)
     params = _base_params(report, nb)
     params.update({
         "a1": a1,
@@ -162,7 +175,7 @@ def lt_sum_t3(report: SpectrumReport, nb: NormBundle, epsilon: float,
     lhs_in = _dist_sum(d[inside], nb.p, az[inside] ** (0.5 - epsilon))
     lhs_out = _dist_sum(d[~inside], nb.p, az[~inside] ** (0.5 + epsilon))
     lhs = lhs_in + lhs_out
-    rhs = nb.v_p**nb.p
+    rhs = _vp_power(nb)
     params = _base_params(report, nb)
     params.update({
         "epsilon": epsilon,
@@ -175,7 +188,7 @@ def lt_sum_t3(report: SpectrumReport, nb: NormBundle, epsilon: float,
             if not a > 0:
                 raise PreconditionError("diagnostic shifts a must be positive")
             lhs_a = _dist_sum(d, nb.p, (az + a) ** (2 * nb.p))
-            rhs_a = nb.v_p**nb.p / a ** (2.0 * nb.p - 0.5)
+            rhs_a = _vp_power(nb) / a ** (2.0 * nb.p - 0.5)
             rows.append({"a": float(a), "lhs": lhs_a, "rhs_structure": rhs_a,
                          "empirical_ratio": _ratio(lhs_a, rhs_a)})
         params["per_a_diagnostics"] = rows

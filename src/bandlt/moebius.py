@@ -19,8 +19,9 @@ the bands:
       1 / (5 (1 + r)) * 1 / (q (q + a_1 - omega))
 
 ``verify_distortion`` samples z = omega + r e^(i theta) in the variant's
-region, rejecting draws on Re z alone, and confirms the ratio dominates
-the bound, reporting any violations as data.
+region, rejecting draws on Re z alone (``gap`` first on r and theta, as
+rejected draws too), and confirms the ratio dominates the bound,
+reporting any violations as data.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _REGIONS = {"halfplane": (np.array([True, True, False]), "Re z < a_1 or Re z ins
             "gap": (np.array([False, False, True]), "b_k < Re z < a_(k+1)"),
             "uniform": (np.array([True, True, True]), "any Re z")}
 _SAMPLE_RADII = (1e-3, 1e3)  # modulus range |z - omega| of the draws
+_THETA_MARGIN = 1e-6  # cos theta < -sin(margin) inside the rejected theta window
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,17 @@ def _require_below_first_edge(mob: MoebiusMap, band_set: BandSet) -> None:
         raise PreconditionError(
             f"map shift omega={mob.omega} must lie strictly below a_1={band_set.a1}"
         )
+
+
+def _require_variant(band_set: BandSet, mob: MoebiusMap, variant: str) -> None:
+    """The preconditions of a variant's bound that do not depend on z."""
+    if variant not in VARIANTS:
+        raise PreconditionError(f"unknown variant {variant!r}; expected {VARIANTS}")
+    _require_below_first_edge(mob, band_set)
+    if variant == "uniform" and mob.omega > 0.0:
+        raise PreconditionError("variant 'uniform' requires omega <= 0")
+    if variant != "halfplane":
+        bandset.gap_ratio(band_set)  # refuses a set with no gaps
 
 
 def image_bands(band_set: BandSet, mob: MoebiusMap) -> MoebiusImage:
@@ -163,12 +176,10 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
 
     ``variant`` selects the region formula (see module docstring); a z
     outside the variant's admissible region is rejected with the region
-    named.  ``uniform`` additionally requires omega <= 0 and at least one
-    gap (for the gap ratio).
+    named.  ``uniform`` additionally requires omega <= 0; ``gap`` and
+    ``uniform`` need at least one gap.
     """
-    if variant not in VARIANTS:
-        raise PreconditionError(f"unknown variant {variant!r}; expected {VARIANTS}")
-    _require_below_first_edge(mob, band_set)
+    _require_variant(band_set, mob, variant)
     zs = np.asarray(z, dtype=complex)
     q = np.abs(np.atleast_1d(zs).ravel() - mob.omega)
     x = np.atleast_1d(zs.real).ravel()
@@ -194,8 +205,6 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
         a_next = gr[gap_idx]
         out = 1.0 / (2.0 * q * q) / (1.0 + (a_next - b_k) / (b_k - mob.omega))
     else:  # uniform
-        if mob.omega > 0.0:
-            raise PreconditionError("variant 'uniform' requires omega <= 0")
         r = bandset.gap_ratio(band_set)
         out = 1.0 / (5.0 * (1.0 + r)) / (q * (q + band_set.a1 - mob.omega))
 
@@ -207,8 +216,9 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
 class VerificationReport:
     """Outcome of a sampling sweep of ratio-vs-bound; violations are data.
 
-    ``rejected`` counts the draws the region filter discarded; admissible
-    draws past the ``samples`` wanted are dropped without being counted.
+    ``rejected`` counts the draws the region filter discarded, those
+    ``gap`` drops on r and theta included; admissible draws past the
+    ``samples`` wanted are dropped without being counted.
     """
 
     variant: str
@@ -242,6 +252,17 @@ def _admit(x: np.ndarray, imag, band_set: BandSet, variant: str):
     return idx, y[off_set]
 
 
+def _may_reach_a1(r: np.ndarray, theta: np.ndarray, omega: float,
+                  a1: float) -> np.ndarray:
+    """False only where Re z = fl(omega + fl(r fl(cos theta))) < a_1 for sure:
+    fl(cos theta) <= 1 and rounding is monotone, so Re z <= fl(omega + r);
+    for theta in [pi/2 + m, 3pi/2 - m], fl(cos theta) < 0, so Re z <= omega."""
+    keep = theta < 0.5 * np.pi + _THETA_MARGIN
+    keep |= theta > 1.5 * np.pi - _THETA_MARGIN
+    keep &= omega + r >= a1
+    return keep
+
+
 def _sample(band_set: BandSet, mob: MoebiusMap, variant: str, n: int,
             rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """The first n admissible draws and the number of draws rejected."""
@@ -251,6 +272,9 @@ def _sample(band_set: BandSet, mob: MoebiusMap, variant: str, n: int,
         size = min(max(4 * (n - kept), 4096), 1 << 20)
         r = np.exp(rng.uniform(*np.log(_SAMPLE_RADII), size))
         theta = rng.uniform(0.0, 2.0 * np.pi, size)
+        if not _REGIONS[variant][0][_HALFPLANE]:  # needs omega < a_1
+            pre = np.flatnonzero(_may_reach_a1(r, theta, mob.omega, band_set.a1))
+            r, theta = r[pre], theta[pre]
         x = np.cos(theta)
         x *= r
         x += mob.omega
@@ -289,12 +313,12 @@ def verify_distortion(
     uniform theta = arg(z - omega), and keeps the admissible draws in
     order.  Rejection reads only Re z = omega + r cos(theta); Im z =
     r sin(theta) is computed for the survivors (the bits of omega +
-    r exp(i theta)).  Raises NumericalError when max(10^6, 2000 n) draws
-    hold fewer than n admissible points.  Returns a report; violations
-    never raise.
+    r exp(i theta)).  ``gap`` drops draws on r and theta first; they count
+    as rejected.  Preconditions are checked before any draw.  Raises
+    NumericalError when max(10^6, 2000 n) draws hold fewer than n
+    admissible points.  Returns a report; violations never raise.
     """
-    if variant not in VARIANTS:
-        raise PreconditionError(f"unknown variant {variant!r}; expected {VARIANTS}")
+    _require_variant(band_set, mob, variant)
     z, rejected = _sample(band_set, mob, variant, n,
                           rng if rng is not None else np.random.default_rng())
     if n == 0:

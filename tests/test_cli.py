@@ -226,11 +226,14 @@ class TestFloatFailures:
         ("ltcheck", {"theorem": "T1simplified", "exponents": {"p": 1000}}),
         ("ltcheck", {"theorem": "T2", "exponents": {"p": 1000}}),
         ("ltcheck", {"theorem": "T1", "exponents": {"p": 1e300}}),
+        ("ltcheck", {"theorem": "T3", "exponents": {"p": 1e300}}),
         ("hansmann", {"hansmann": {"n": 5, "trials": 3, "p": 1e5}}),
     ], ids=["amplitude-T1", "amplitude-T2", "amplitude-T3", "p1000-T1",
-            "p1000-T1simplified", "p1000-T2", "p1e300-T1", "hansmann-p1e5"])
+            "p1000-T1simplified", "p1000-T2", "p1e300-T1", "p1e300-T3",
+            "hansmann-p1e5"])
     def test_overflow_exits_4(self, tmp_path, bands_file, command, changes):
-        # finite configs whose bound formulas overflow or divide by zero
+        # finite configs whose bound formulas overflow, underflow a sum of
+        # positive terms to 0, or divide by zero
         doc = spectrum_config(bands_file, output={}, **changes)
         doc["grid"]["points"] = 60
         status, result = cli.run(doc, command=command, seed=1, out_dir=str(tmp_path))
@@ -279,6 +282,28 @@ class TestDistortCommand:
         assert result["violations"] == []
         assert result["min_quotient"] >= 1.0 - 1e-12
 
+
+    @pytest.mark.parametrize("edges, omega, variant, match", [
+        ([(1, 2), (3, 4), (6, 8)], 100.0, "gap", "below a_1"),
+        ([(1, 2), (3, 4), (6, 8)], 1e6, "uniform", "below a_1"),
+        ([(1, 2), (3, 4), (6, 8)], 0.5, "uniform", "omega <= 0"),
+        ([(1, 2)], -0.5, "gap", "no gaps"),
+    ], ids=["gap-omega-above-a1", "uniform-omega-above-a1", "uniform-omega-positive",
+            "gap-no-gaps"])
+    def test_precondition_refused_before_any_draw(self, tmp_path, monkeypatch,
+                                                  edges, omega, variant, match):
+        class NoDraws:
+            def uniform(self, *args):
+                raise AssertionError("drew before checking the preconditions")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+        bands_file = tmp_path / "I.json"
+        bands_file.write_text(json.dumps(bandset.to_json(bandset.validate(edges))))
+        doc = {"bands": {"file": str(bands_file)},
+               "distort": {"omega": omega, "variant": variant, "samples": 10**7}}
+        status, result = cli.run(doc, command="distort", seed=1)
+        assert status == EXIT_CONFIG, result
+        assert match in result["error"]
 
     def test_one_distance_pass(self, tmp_path, monkeypatch):
         # rejection batches decide "on the set" from region codes; the only

@@ -394,6 +394,22 @@ class TestVerifyDistortion:
         assert got == want
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
+    def test_share_of_draws_reaching_cos(self, monkeypatch):
+        # gap at omega = -5 drops most draws on r and theta before their cos;
+        # without that prefilter every draw reaches _admit
+        seen = []
+        admit = moebius._admit
+
+        def counted(x, *args):
+            seen.append(x.size)
+            return admit(x, *args)
+
+        monkeypatch.setattr(moebius, "_admit", counted)
+        I = bandset.validate(_MATHIEU_Q2_EDGES)
+        report = moebius.verify_distortion(I, moebius.MoebiusMap(-5.0), "gap", n=10_000,
+                                           rng=np.random.default_rng(1))
+        assert sum(seen) <= 0.3 * (report.samples + report.rejected)
+
     def test_peak_memory(self):
         # parent of the real-first filter: 29 MiB (complex draws, int64 codes)
         I = bandset.validate(_MATHIEU_Q2_EDGES)
@@ -413,3 +429,36 @@ class TestVerifyDistortion:
         doc = report.to_json()
         assert set(doc) >= {"samples", "rejected", "violations", "min_quotient"}
         assert doc["samples"] == 100
+
+
+class TestMayReachA1:
+    """The gap prefilter keeps every draw that _admit admits on its Re z."""
+
+    @pytest.mark.parametrize("ray", [False, True])
+    @pytest.mark.parametrize("omega", [0.0, -0.5, -5.0])
+    def test_keeps_every_admitted_draw(self, rng, ray, omega):
+        I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
+        r_edge = [I.a1 - omega]
+        for _ in range(3):
+            r_edge = [np.nextafter(r_edge[0], 0.0), *r_edge, np.nextafter(r_edge[-1], np.inf)]
+        r_edge = np.array(r_edge)
+        s = omega + r_edge  # fl(omega + r) below, at and above a_1
+        assert s.min() < I.a1 and np.any(s == I.a1) and s.max() > I.a1
+        m = moebius._THETA_MARGIN
+        corners = np.array([0.5 * np.pi, 0.5 * np.pi + m, 1.5 * np.pi, 1.5 * np.pi - m])
+        theta = np.concatenate([
+            [0.0, np.nextafter(2.0 * np.pi, 0.0)], corners,
+            np.nextafter(corners, 0.0), np.nextafter(corners, np.inf),
+        ])
+        # |cos theta| >= 6e-17 at these theta, so r up to 1e18 reaches every gap
+        r = np.concatenate([r_edge, np.geomspace(1e-3, 1e18, 400)])
+        r, theta = (a.ravel() for a in np.meshgrid(r, theta))
+        r = np.concatenate([r, np.exp(rng.uniform(*np.log(moebius._SAMPLE_RADII), 20_000))])
+        theta = np.concatenate([theta, rng.uniform(0.0, 2.0 * np.pi, 20_000)])
+        x = np.cos(theta)
+        x *= r
+        x += omega
+        idx, _ = moebius._admit(x, lambda i: r[i] * np.sin(theta[i]), I, "gap")
+        keep = moebius._may_reach_a1(r, theta, omega, I.a1)
+        assert idx.size > 0 and not np.all(keep)
+        assert np.all(keep[idx])
