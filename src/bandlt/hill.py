@@ -165,7 +165,7 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
     # computed Wronskian carries an irreducible eps*|M|^2 cancellation
     # floor; the 1e-9 absolute guard applies where entries are O(1)
     tol = np.maximum(1e-9, 128.0 * np.finfo(float).eps * (1.0 + (out * out).sum(axis=(0, 1))))
-    if np.any(np.abs(dets - 1.0) > tol):
+    if not np.all(np.abs(dets - 1.0) <= tol):  # NaN fails too
         worst = float(np.max(np.abs(dets - 1.0) / tol))
         raise NumericalError(
             f"Wronskian drifted {worst:.1f}x beyond the scaled tolerance; "
@@ -178,10 +178,17 @@ def _monodromy_chunk(samples, h, tail, E):
     """Block RK4 pass and ordered block product for one chunk of energies.
 
     ``samples`` are the (L, B) node, midpoint and next-node potential
-    tables; the last block has ``tail`` steps.
+    tables; the last block has ``tail`` steps.  Each step is classical RK4
+    with k1 = (w, c0 y), k2 = (w + h/2 k1w, cm (y + h/2 k1y)), k3 likewise
+    from k2, k4 = (w + h k3w, c1 (y + h k3y)) and the update
+    y + h/6 (((k1 + 2 k2) + 2 k3) + k4).  Each stage is built in place in
+    an array that is no longer needed; only the order of the two operands
+    of a + or * changes, never the grouping, so the bits are those of the
+    written-out expressions.
     """
     v_node, v_mid, v_next = samples
     L, B = v_node.shape
+    hh, h6 = 0.5 * h, h / 6.0
     y = np.zeros((2, B, E.size))
     w = np.zeros((2, B, E.size))
     y[0] = 1.0
@@ -195,16 +202,17 @@ def _monodromy_chunk(samples, h, tail, E):
         c0 = v_node[j, :nb, None] - E
         cm = v_mid[j, :nb, None] - E
         c1 = v_next[j, :nb, None] - E
-        k1y = w
-        k1w = c0 * y
-        k2y = w + 0.5 * h * k1w
-        k2w = cm * (y + 0.5 * h * k1y)
-        k3y = w + 0.5 * h * k2w
-        k3w = cm * (y + 0.5 * h * k2y)
-        k4y = w + h * k3w
-        k4w = c1 * (y + h * k3y)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        k1w = c0 * y  # k1y is w
+        k2y = hh * k1w; k2y += w
+        k2w = hh * w; k2w += y; k2w *= cm
+        k3y = hh * k2w; k3y += w
+        k3w = hh * k2y; k3w += y; k3w *= cm
+        k4y = h * k3w; k4y += w
+        k4w = h * k3y; k4w += y; k4w *= c1
+        # the updates are built in k2
+        k2y *= 2.0; k2y += w; k3y *= 2.0; k2y += k3y; k2y += k4y; k2y *= h6; k2y += y
+        k2w *= 2.0; k2w += k1w; k3w *= 2.0; k2w += k3w; k2w += k4w; k2w *= h6; k2w += w
+        y, w = k2y, k2w
 
     blocks = list(np.stack([y, w]).transpose(2, 0, 1, 3)) + done
     m = blocks[0]
@@ -215,12 +223,12 @@ def _monodromy_chunk(samples, h, tail, E):
 
 def _scan_grid(period: float, e_max: float, scan_step: float | None) -> np.ndarray:
     """Energies from -1 to e_max; spacing grows like sqrt(E) because edges
-    of the period problem spread quadratically.  A step that cannot
-    advance E, or a grid above ``_MAX_SCAN_POINTS``, is refused."""
+    of the period problem spread quadratically.  A non-finite step, one
+    that cannot advance E, or a grid above ``_MAX_SCAN_POINTS``, is refused."""
     e_ref = (math.pi / period) ** 2
     s0 = 1e-2 * e_ref if scan_step is None else float(scan_step)
-    if s0 <= 0:
-        raise PreconditionError("scan_step must be positive")
+    if not (math.isfinite(s0) and s0 > 0):
+        raise PreconditionError(f"scan_step must be positive and finite; got {s0}")
     grid = [-1.0]
     e = -1.0
     while e < e_max:
@@ -269,7 +277,7 @@ def _bump_brackets(V0, grid, disc, crossing_cells, steps):
     clean = np.array([
         (i - 1 not in crossing_cells) and (i not in crossing_cells)
         for i in interior
-    ])
+    ], dtype=bool)
     cand = interior[is_max & near_two & clean]
     if cand.size == 0:
         return [], 0

@@ -19,9 +19,10 @@ the bands:
       1 / (5 (1 + r)) * 1 / (q (q + a_1 - omega))
 
 ``verify_distortion`` samples z = omega + r e^(i theta) in the variant's
-region, rejecting draws on Re z alone (``gap`` first on r and theta, as
-rejected draws too), and confirms the ratio dominates the bound,
-reporting any violations as data.
+region, rejecting draws on Re z and theta (``gap`` first on r and theta,
+as rejected draws too) and computing Im z only for the draws it keeps,
+and confirms the ratio dominates the bound, reporting any violations as
+data.
 """
 
 from __future__ import annotations
@@ -233,23 +234,24 @@ class VerificationReport:
         return asdict(self)
 
 
-def _admit(x: np.ndarray, imag, band_set: BandSet, variant: str):
-    """Indices and Im z of the admissible draws among real parts x.
+def _admit(x: np.ndarray, theta: np.ndarray, band_set: BandSet, variant: str):
+    """Indices of the admissible draws among real parts x and angles theta.
 
-    Decides on x first: finite, within validity, in the variant's region.
-    ``imag(idx)`` gives Im z of the survivors only; a real z on a band (on
-    the set) or a non-finite one drops out, so no distance is computed.
+    Keeps x finite, within validity and in the variant's region, and drops
+    a real z on a band (on the set), so no distance is computed there.
+    z is real exactly when theta = 0: r in _SAMPLE_RADII and theta in
+    [0, 2 pi) are finite, the only zero of sin there is 0 (sin of the
+    double nearest pi is 1.2e-16), and a nonzero draw of
+    rng.uniform(0, 2 pi) is at least 2 pi 2^-53, so fl(r fl(sin theta))
+    neither underflows nor overflows.
     """
     codes = _region_codes(x, band_set)
     keep = _REGIONS[variant][0][codes]
     keep &= np.isfinite(x)
     if not band_set.terminal_ray:
         keep &= x <= band_set.validity_cap
-    idx = np.flatnonzero(keep)
-    y = imag(idx)
-    off_set = np.isfinite(y) & ((y != 0.0) | (codes[idx] != _BAND))
-    idx = idx[off_set]
-    return idx, y[off_set]
+    keep &= (theta != 0.0) | (codes != _BAND)
+    return np.flatnonzero(keep)
 
 
 def _may_reach_a1(r: np.ndarray, theta: np.ndarray, omega: float,
@@ -278,19 +280,13 @@ def _sample(band_set: BandSet, mob: MoebiusMap, variant: str, n: int,
         x = np.cos(theta)
         x *= r
         x += mob.omega
-
-        def imag(i):
-            y = np.sin(theta[i])
-            y *= r[i]
-            return y
-
-        idx, y = _admit(x, imag, band_set, variant)
+        idx = _admit(x, theta, band_set, variant)
         attempts += size
         rejected += size - idx.size
-        m = min(idx.size, n - kept)
-        z.real[kept:kept + m] = x[idx[:m]]
-        z.imag[kept:kept + m] = y[:m]
-        kept += m
+        idx = idx[:n - kept]  # Im z only for the draws kept
+        z.real[kept:kept + idx.size] = x[idx]
+        z.imag[kept:kept + idx.size] = np.sin(theta[idx]) * r[idx]
+        kept += idx.size
     if kept < n:
         raise NumericalError(
             f"sampling produced only {kept}/{n} admissible points "
@@ -311,10 +307,10 @@ def verify_distortion(
 
     Each round draws log-uniform r = |z - omega| in _SAMPLE_RADII, then
     uniform theta = arg(z - omega), and keeps the admissible draws in
-    order.  Rejection reads only Re z = omega + r cos(theta); Im z =
-    r sin(theta) is computed for the survivors (the bits of omega +
-    r exp(i theta)).  ``gap`` drops draws on r and theta first; they count
-    as rejected.  Preconditions are checked before any draw.  Raises
+    order.  Rejection reads only Re z = omega + r cos(theta) and whether
+    theta = 0; Im z = r sin(theta) is computed for the kept draws only
+    (the bits of omega + r exp(i theta)).  ``gap`` drops draws on r and
+    theta first; they count as rejected.  Preconditions are checked before any draw.  Raises
     NumericalError when max(10^6, 2000 n) draws hold fewer than n
     admissible points.  Returns a report; violations never raise.
     """

@@ -264,6 +264,20 @@ class TestBandsCommand:
         on_disk = json.loads((tmp_path / "bands.json").read_text())
         assert bandset.from_json(on_disk).num_bands == 1
 
+    @pytest.mark.parametrize("scan_step", [10.0, 100.0])
+    def test_scan_without_interior_point(self, tmp_path, scan_step):
+        # a step past e_max + 1 leaves the scan grid [-1, e_max]: the
+        # golden-section chase has no candidate cell to look at
+        doc = {
+            "v0": {"type": "cos", "q": 2.0, "period": 2 * math.pi},
+            "bands": {"e_max": 9.0, "scan_step": scan_step},
+            "output": {"json": "bands.json"},
+        }
+        status, result = cli.run(doc, command="bands", out_dir=str(tmp_path))
+        assert status == 0
+        on_disk = json.loads((tmp_path / "bands.json").read_text())
+        assert bandset.from_json(on_disk).num_bands == len(result["bands"]) >= 1
+
 
 class TestDistortCommand:
     def test_verification_report(self, tmp_path):

@@ -84,6 +84,19 @@ def _reference_monodromy(V0, energies, steps):
     return out
 
 
+# 1024 = 32 * 32 fills every block; the others leave a short last block.
+# Each e_max is a test config's, lowered where 1000 steps fail the
+# Wronskian check (cos q = 1 to e_max 12 does).
+_BLOCK_STEPS = pytest.mark.parametrize("steps", [1000, 1024, 1423, 4142, 7211])
+_BLOCK_POTENTIALS = pytest.mark.parametrize("V0, e_max", [
+    (hill.cosine(1.0), 10.0),
+    (hill.cosine(2.0), 9.0),
+    (hill.free(1.0), 50.0),
+    (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
+    (hill.from_samples([0.0, 1.0, 3.0, 0.5, 2.0], 1.0), 50.0),
+], ids=["cos-q1", "cos-q2", "free", "float-resolution", "five-samples"])
+
+
 class TestMonodromy:
     def test_free_zero_energy(self):
         m = _monodromy(hill.free(1.0), 0.0)
@@ -116,17 +129,13 @@ class TestMonodromy:
         with pytest.raises(PreconditionError):
             _monodromy(hill.free(1.0), 1.0, steps=50)
 
-    # 1024 = 32 * 32 fills every block; the others leave a short last block.
-    # Each e_max is a test config's, lowered where 1000 steps fail the
-    # Wronskian check (cos q = 1 to e_max 12 does).
-    @pytest.mark.parametrize("steps", [1000, 1024, 1423, 4142, 7211])
-    @pytest.mark.parametrize("V0, e_max", [
-        (hill.cosine(1.0), 10.0),
-        (hill.cosine(2.0), 9.0),
-        (hill.free(1.0), 50.0),
-        (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
-        (hill.from_samples([0.0, 1.0, 3.0, 0.5, 2.0], 1.0), 50.0),
-    ], ids=["cos-q1", "cos-q2", "free", "float-resolution", "five-samples"])
+    def test_non_finite_energy_raises(self):
+        # NaN compares false against the Wronskian tolerance too
+        with pytest.raises(NumericalError, match="Wronskian"):
+            hill._monodromy_batch(hill.cosine(1.0), np.array([1.0, np.nan]), 1000)
+
+    @_BLOCK_STEPS
+    @_BLOCK_POTENTIALS
     def test_blocks_match_sequential_loop(self, V0, e_max, steps):
         # the block product reassociates the step products, so the
         # entries agree with the sequential loop at rounding level only
@@ -239,6 +248,13 @@ class TestBandEdges:
             hill.band_edges_report(hill.free(1.0), -3.0)
         with pytest.raises(PreconditionError):
             hill.band_edges_report(hill.free(1.0), 10.0, scan_step=0.0)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_non_finite_scan_step_refused(self, step):
+        # nan passed the positivity test and made the grid [-1, nan];
+        # inf made a two-point grid
+        with pytest.raises(PreconditionError, match="scan_step"):
+            hill.band_edges_report(hill.cosine(2.0), 9.0, scan_step=step)
 
     def test_classification_constant_on_refinement(self):
         # between consecutive edges the in-band/in-gap verdict must not
@@ -379,4 +395,79 @@ class TestSpeculativeRounds:
             I_ref, meta_ref = hill.band_edges_report(V0, e_max)
         assert meta["bump_refinements"] > 0  # the golden-section chase ran
         assert np.array_equal(I.edges, I_ref.edges)
+        assert meta == meta_ref
+
+
+def _reference_chunk(samples, h, tail, E):
+    """``hill._monodromy_chunk`` with every RK4 stage written out as one
+    expression: the byte oracle for the in-place stages."""
+    v_node, v_mid, v_next = samples
+    L, B = v_node.shape
+    y = np.zeros((2, B, E.size))
+    w = np.zeros((2, B, E.size))
+    y[0] = 1.0
+    w[1] = 1.0
+    done = []
+    for j in range(L):
+        if j == tail:
+            done.append(np.stack([y[:, -1], w[:, -1]]))
+            y, w = y[:, :-1], w[:, :-1]
+        nb = y.shape[1]
+        c0 = v_node[j, :nb, None] - E
+        cm = v_mid[j, :nb, None] - E
+        c1 = v_next[j, :nb, None] - E
+        k1y = w
+        k1w = c0 * y
+        k2y = w + 0.5 * h * k1w
+        k2w = cm * (y + 0.5 * h * k1y)
+        k3y = w + 0.5 * h * k2w
+        k3w = cm * (y + 0.5 * h * k2y)
+        k4y = w + h * k3w
+        k4w = c1 * (y + h * k3y)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+
+    blocks = list(np.stack([y, w]).transpose(2, 0, 1, 3)) + done
+    m = blocks[0]
+    for p in blocks[1:]:
+        m = p[:, 0, None] * m[0] + p[:, 1, None] * m[1]
+    return m
+
+
+def _with_reference_chunk(monkeypatch, f, *args):
+    with monkeypatch.context() as m:
+        m.setattr(hill, "_monodromy_chunk", _reference_chunk)
+        return f(*args)
+
+
+class TestInPlaceStages:
+    """The in-place RK4 stages swap operands only, so every result has the
+    bytes of the written-out stage expressions."""
+
+    @_BLOCK_STEPS
+    @_BLOCK_POTENTIALS
+    def test_blocks_byte_identical(self, monkeypatch, V0, e_max, steps):
+        E = np.linspace(-1.0, e_max, 41)
+        m = hill._monodromy_batch(V0, E, steps)
+        ref = _with_reference_chunk(monkeypatch, hill._monodromy_batch, V0, E, steps)
+        assert m.tobytes() == ref.tobytes()
+
+    def test_chunk_boundaries_byte_identical(self, monkeypatch):
+        # the batch sizes of test_batch_independence, around one and two chunks
+        V = hill.cosine(2.0)
+        steps = hill.default_steps(13.0, V.period)
+        width = hill._CHUNK // -(-steps // (math.isqrt(steps - 1) + 1))
+        rng = np.random.default_rng(3)
+        for size in (10, 23, 37, width - 1, width, width + 1, 2 * width + 3):
+            E = rng.uniform(-1.0, 9.0, size)
+            m = hill._monodromy_batch(V, E, steps)
+            ref = _with_reference_chunk(monkeypatch, hill._monodromy_batch, V, E, steps)
+            assert m.tobytes() == ref.tobytes(), size
+
+    @pytest.mark.parametrize("e_max", [9.0, 30.0])
+    def test_band_edges_byte_identical(self, monkeypatch, e_max):
+        I, meta = hill.band_edges_report(hill.cosine(2.0), e_max)
+        I_ref, meta_ref = _with_reference_chunk(monkeypatch, hill.band_edges_report,
+                                                hill.cosine(2.0), e_max)
+        assert np.asarray(I.edges).tobytes() == np.asarray(I_ref.edges).tobytes()
         assert meta == meta_ref

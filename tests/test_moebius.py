@@ -360,19 +360,26 @@ class TestVerifyDistortion:
 
     @pytest.mark.parametrize("ray", [False, True])
     def test_off_set_mask_matches_distance(self, rng, ray):
+        # _admit reads theta; the oracle reads z = x + i r sin(theta)
         I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
         edges = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 8.0] + ([10.0] if ray else []))
         real_axis = np.concatenate([
             edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
             rng.uniform(-2.0, 14.0, 2000),  # half-plane, bands, gaps, ray
         ])
-        z = np.concatenate([
-            real_axis + 0j,
-            edges + 1e-300j,
-            rng.uniform(-2.0, 14.0, 2000) + 1j * rng.normal(0.0, 1.0, 2000),
-        ])
-        idx, y = moebius._admit(z.real, lambda i: z.imag[i], I, "uniform")
-        assert np.array_equal(y, z.imag[idx])
+        x = np.concatenate([real_axis, edges, rng.uniform(-2.0, 14.0, 2000)])
+        y = np.concatenate([np.zeros(real_axis.size), np.full(edges.size, 1e-300),
+                            rng.normal(0.0, 1.0, 2000)])
+        theta = np.arctan2(y, 1.0) % (2.0 * np.pi)
+        r = np.hypot(1.0, y)
+        # on band-coded x: theta = 0, the least positive double, and fl(pi)
+        band_x = np.concatenate([edges, [1.5, 3.5, 7.0]])
+        x = np.concatenate([x, np.tile(band_x, 3)])
+        theta = np.concatenate([theta, np.repeat([0.0, np.nextafter(0.0, 1.0), np.pi],
+                                                 band_x.size)])
+        r = np.concatenate([r, np.ones(3 * band_x.size)])
+        z = x + 1j * (r * np.sin(theta))
+        idx = moebius._admit(x, theta, I, "uniform")
         keep = np.zeros(z.size, dtype=bool)
         keep[idx] = True
         valid = np.isfinite(z) & (ray or z.real <= I.validity_cap)
@@ -458,7 +465,7 @@ class TestMayReachA1:
         x = np.cos(theta)
         x *= r
         x += omega
-        idx, _ = moebius._admit(x, lambda i: r[i] * np.sin(theta[i]), I, "gap")
+        idx = moebius._admit(x, theta, I, "gap")
         keep = moebius._may_reach_a1(r, theta, omega, I.a1)
         assert idx.size > 0 and not np.all(keep)
         assert np.all(keep[idx])
