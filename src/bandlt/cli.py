@@ -196,7 +196,8 @@ def perturbation_samples(spec: dict, x: np.ndarray, coupling: float = 1.0) -> np
 
 def _band_set(cfg: Cfg, v0: hill.PeriodicPotential | None = None,
               ) -> tuple[bandset.BandSet, dict]:
-    """The ``bands`` section: a band-set JSON file, or Hill up to ``e_max``."""
+    """The ``bands`` section: a band-set JSON file, or the Hill band set up
+    to ``e_max``, its only field (edges bracketed by the Dirichlet count)."""
     bands_cfg = cfg.sub("bands")
     if bands_cfg.has("file"):
         path = bands_cfg.string("file", required=True)
@@ -208,8 +209,7 @@ def _band_set(cfg: Cfg, v0: hill.PeriodicPotential | None = None,
         return bandset.from_json(doc), {"source": "file"}
     if v0 is None:
         v0 = _potential(cfg)
-    return hill.band_edges_report(v0, bands_cfg.number("e_max", required=True),
-                                  bands_cfg.number("scan_step"))
+    return hill.band_edges_report(v0, bands_cfg.number("e_max", required=True))
 
 
 @dataclass

@@ -1,11 +1,16 @@
 """Band spectrum of a periodic Schrodinger operator -y'' + V0(x) y = E y.
 
 The trace D(E) of the period monodromy matrix decides membership: E
-belongs to the spectrum exactly when |D(E)| <= 2.  ``band_edges_report``
-scans D, bisects the crossings of +/-2 one round per sweep (the midpoints
-of all brackets in one batch), and assembles a validated
-:class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes,
-with metadata on the resolution used.
+belongs to the spectrum exactly when |D(E)| <= 2.  Every sweep also
+returns the Dirichlet count N(E), the number of zeros in (0, T) of the
+solution with y(0) = 0 and y'(0) = 1; by Sturm oscillation theory it is
+the number of Dirichlet eigenvalues nu_k below E, and nu_k lies in the
+k-th closed gap (Magnus and Winkler, *Hill's Equation*, 1966).
+``band_edges_report`` bisects on the count until a swept energy sits in
+every open gap, bisects the crossings of +/-2 between consecutive swept
+energies one round per sweep (the midpoints of all brackets in one
+batch), and assembles a validated :class:`~bandlt.bandset.BandSet` that
+the rest of the toolkit consumes, with metadata on the resolution used.
 
 The monodromy is integrated with fixed-step classical Runge-Kutta, in
 blocks of steps that run side by side (see ``_monodromy_batch``).  The
@@ -35,8 +40,6 @@ _EDGE_TOL = 1e-10
 _DEGENERATE_GAP = 1e-8
 _PROBE_POINTS = 2048
 _MAX_STEPS = 50_000  # RK4 steps per sweep; Mathieu q = 2 to e_max 30 needs 7211
-_MAX_SCAN_POINTS = 100_000
-_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 _CHUNK = 8192  # blocks x energies per integration chunk; caps the RK4 arrays
 
 
@@ -111,6 +114,8 @@ def default_steps(energy: float, period: float) -> int:
     phase = sqrt(E) T.  Scaling n like phase^(5/4) bounds both uniformly.
     A count above ``_MAX_STEPS`` is refused before anything is allocated.
     """
+    if not math.isfinite(energy):
+        raise PreconditionError(f"energy {energy} is not finite")
     phase = math.sqrt(max(energy, 0.0)) * period
     if phase > (_MAX_STEPS / 80.0) ** 0.8:
         raise PreconditionError(
@@ -121,8 +126,8 @@ def default_steps(energy: float, period: float) -> int:
 
 
 def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
-                     steps: int | None = None) -> np.ndarray:
-    """Fundamental matrices for many energies at once; returns (2,2,nE).
+                     steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Fundamental matrices (2,2,nE) and Dirichlet counts (nE,) at once.
 
     Columns start from (1,0) and (0,1).  The ``steps`` RK4 steps are split
     into B = ceil(steps/L) consecutive blocks of L = ceil(sqrt(steps)).
@@ -134,8 +139,15 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
     and B depend only on ``steps`` and every operation is elementwise in
     E, so an energy's monodromy has the same bits alone and inside any
     batch.  The Wronskian det = 1 is checked on the result.
+
+    The count is the number of sign changes of y2 = m[0, 1] at the block
+    ends.  It is the number of zeros of y2 in (0, T) while a block is
+    shorter than their spacing pi / sqrt(E - min V0), which holds for
+    every E up to the energy ``default_steps`` sized ``steps`` for.
     """
     E = np.atleast_1d(np.asarray(energies, dtype=float))
+    if not np.all(np.isfinite(E)):
+        raise PreconditionError(f"energy {E[~np.isfinite(E)][0]} is not finite")
     if steps is None:
         steps = default_steps(float(np.max(E)), V0.period)
     if steps < 100:
@@ -157,8 +169,10 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
     tail = steps - (B - 1) * L
     width = _CHUNK // B
     out = np.empty((2, 2, E.size))
+    count = np.empty(E.size, dtype=int)
     for k in range(0, E.size, width):
-        out[:, :, k:k + width] = _monodromy_chunk(samples, h, tail, E[k:k + width])
+        out[:, :, k:k + width], count[k:k + width] = _monodromy_chunk(
+            samples, h, tail, E[k:k + width])
 
     dets = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
     # below the spectrum the entries grow like exp(sqrt(V-E) T), and the
@@ -171,11 +185,12 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
             f"Wronskian drifted {worst:.1f}x beyond the scaled tolerance; "
             "integration under-resolved"
         )
-    return out
+    return out, count
 
 
 def _monodromy_chunk(samples, h, tail, E):
-    """Block RK4 pass and ordered block product for one chunk of energies.
+    """Block RK4 pass and ordered block product for one chunk of energies;
+    returns the monodromy and the sign changes of y2 at the block ends.
 
     ``samples`` are the (L, B) node, midpoint and next-node potential
     tables; the last block has ``tail`` steps.  Each step is classical RK4
@@ -216,29 +231,55 @@ def _monodromy_chunk(samples, h, tail, E):
 
     blocks = list(np.stack([y, w]).transpose(2, 0, 1, 3)) + done
     m = blocks[0]
+    neg = m[0, 1] < 0.0  # y2 leaves 0 upwards
+    count = neg.astype(int)
     for p in blocks[1:]:
         m = p[:, 0, None] * m[0] + p[:, 1, None] * m[1]
-    return m
+        now = m[0, 1] < 0.0
+        count += neg != now
+        neg = now
+    return m, count
 
 
-def _scan_grid(period: float, e_max: float, scan_step: float | None) -> np.ndarray:
-    """Energies from -1 to e_max; spacing grows like sqrt(E) because edges
-    of the period problem spread quadratically.  A non-finite step, one
-    that cannot advance E, or a grid above ``_MAX_SCAN_POINTS``, is refused."""
-    e_ref = (math.pi / period) ** 2
-    s0 = 1e-2 * e_ref if scan_step is None else float(scan_step)
-    if not (math.isfinite(s0) and s0 > 0):
-        raise PreconditionError(f"scan_step must be positive and finite; got {s0}")
-    grid = [-1.0]
-    e = -1.0
-    while e < e_max:
-        e_next = min(e + s0 * max(1.0, math.sqrt(max(e, 0.0) / e_ref)), e_max)
-        if e_next == e or len(grid) == _MAX_SCAN_POINTS:
-            raise PreconditionError(f"scan_step {s0} cannot reach e_max {e_max} "
-                                    f"within {_MAX_SCAN_POINTS} scan points")
-        e = e_next
-        grid.append(e)
-    return np.array(grid)
+def _gap_energies(V0, e_max, steps):
+    """Energies, sorted, that put a swept point in every gap wider than the
+    stop width, and D at them.
+
+    A swept E with |D| > 2 and count n lies in gap n when sign D = (-1)^n
+    and in gap n + 1 otherwise (gap 0 lies below the spectrum), because
+    nu_n < E <= nu_(n+1) and D has sign (-1)^k in gap k.  The first sweep
+    is E = -1 and e_max, so K = N(e_max) gaps hold a nu_k below e_max.
+    Each later round bisects, in one sweep, the bracket (max E with
+    N < k, min E with N >= k] of every gap k <= K not yet seen.  The
+    bracket holds nu_k, so it reaches into gap k once it is narrower than
+    the gap; a bracket stops at width 1e-10 (1 + |E|), above four float
+    spacings at every E, and such a gap counts as closed.  Each round
+    halves every open bracket, so there are at most
+    1 + ceil(log2((e_max + 1) / 1e-10)) sweeps.
+    """
+    e = np.array([-1.0, float(e_max)])
+    m, n = _monodromy_batch(V0, e, steps)
+    k = np.arange(1, n[-1] + 1)
+    lo, hi = np.full(k.size, e[0]), np.full(k.size, e[1])
+    seen = np.zeros(k.size + 2, dtype=bool)
+    energies, discs = [], []
+    while True:
+        d = m[0, 0] + m[1, 1]
+        energies.append(e)
+        discs.append(d)
+        gap = n + ((d > 0.0) == (n % 2 == 1))
+        seen[np.minimum(gap[np.abs(d) > 2.0], k.size + 1)] = True
+        below = n < k[:, None]
+        lo = np.maximum(lo, np.where(below, e, -np.inf).max(axis=1))
+        hi = np.minimum(hi, np.where(below, np.inf, e).min(axis=1))
+        bisect = ~seen[k] & (hi - lo > 1e-10 * (1.0 + np.abs(hi)))
+        if not np.any(bisect):
+            break
+        e = np.unique(0.5 * (lo + hi)[bisect])
+        m, n = _monodromy_batch(V0, e, steps)
+    e, d = np.concatenate(energies), np.concatenate(discs)
+    order = np.argsort(e)
+    return e[order], d[order]
 
 
 def _bisect_edges(V0, brackets, steps):
@@ -251,7 +292,7 @@ def _bisect_edges(V0, brackets, steps):
     lo, hi, tgt, flo = (np.array(c, dtype=float) for c in zip(*brackets))
     while np.any(hi - lo > np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
         mid = 0.5 * (lo + hi)
-        m = _monodromy_batch(V0, mid, steps)
+        m, _ = _monodromy_batch(V0, mid, steps)
         fmid = m[0, 0] + m[1, 1] - tgt
         left = (flo * fmid) > 0.0
         lo = np.where(left, mid, lo)
@@ -260,92 +301,35 @@ def _bisect_edges(V0, brackets, steps):
     return list(0.5 * (lo + hi))
 
 
-def _bump_brackets(V0, grid, disc, crossing_cells, steps):
-    """Chase gaps narrower than the scan step.
+def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dict]:
+    """Bracket and bisect the discriminant; returns the band set and metadata.
 
-    A gap entirely inside one scan cell leaves no sign change, only a
-    local maximum of |D| just below 2 at the neighboring grid points.
-    Golden-section maximization of |D| over such cells either exposes a
-    point with |D| > 2 (two new brackets) or confirms a tangential touch
-    (closed gap, no edge).  Each round evaluates both probes of every
-    candidate in one sweep.
-    """
-    absd = np.abs(disc)
-    interior = np.arange(1, grid.size - 1)
-    is_max = (absd[interior] >= absd[interior - 1]) & (absd[interior] >= absd[interior + 1])
-    near_two = (absd[interior] > 1.95) & (absd[interior] <= 2.0)
-    clean = np.array([
-        (i - 1 not in crossing_cells) and (i not in crossing_cells)
-        for i in interior
-    ], dtype=bool)
-    cand = interior[is_max & near_two & clean]
-    if cand.size == 0:
-        return [], 0
-
-    lo = grid[cand - 1].astype(float)
-    hi = grid[cand + 1].astype(float)
-    lo0, hi0 = lo.copy(), hi.copy()
-    best_e = grid[cand].astype(float)
-    best_f = disc[cand].copy()
-    for _ in range(45):
-        unresolved = np.abs(best_f) <= 2.0
-        if not np.any(unresolved) or np.max(hi - lo) < 1e-10 * (1.0 + np.max(np.abs(hi))):
-            break
-        m1 = hi - _PHI * (hi - lo)
-        m2 = lo + _PHI * (hi - lo)
-        mm = _monodromy_batch(V0, np.concatenate([m1, m2]), steps)
-        f1, f2 = np.split(mm[0, 0] + mm[1, 1], 2)
-        take1 = np.abs(f1) >= np.abs(f2)
-        hi = np.where(take1, m2, hi)
-        lo = np.where(take1, lo, m1)
-        e_new = np.where(take1, m1, m2)
-        f_new = np.where(take1, f1, f2)
-        better = np.abs(f_new) > np.abs(best_f)
-        best_e = np.where(better, e_new, best_e)
-        best_f = np.where(better, f_new, best_f)
-
-    brackets = []
-    opened = np.abs(best_f) > 2.0
-    for e_star, f_star, a, b, fa in zip(best_e[opened], best_f[opened], lo0[opened],
-                                        hi0[opened], disc[cand - 1][opened]):
-        tgt = 2.0 if f_star > 0 else -2.0
-        brackets.append((float(a), float(e_star), tgt, float(fa - tgt)))
-        brackets.append((float(e_star), float(b), tgt, float(f_star - tgt)))
-    return brackets, int(cand.size)
-
-
-def band_edges_report(V0: PeriodicPotential, e_max: float,
-                      scan_step: float | None = None) -> tuple[BandSet, dict]:
-    """Scan and bisect the discriminant; returns the band set and metadata.
-
-    Metadata records the edges at which the in-band verdict flips, merged
-    degenerate gaps (length < 1e-8: the free operator closes its gaps
-    exactly and downstream band sets need strict interlacing), whether the
-    last band was truncated at e_max, and the scan/integration resolution.
+    The count sweeps of ``_gap_energies`` put a swept energy in every gap
+    wider than their stop width, so the sign changes of D -/+ 2 between
+    consecutive swept energies bracket every edge of those gaps exactly
+    once.  Metadata records the edges at which the in-band verdict flips,
+    merged degenerate gaps (length < 1e-8: the free operator closes its
+    gaps exactly and downstream band sets need strict interlacing),
+    whether the last band was truncated at e_max, and the resolution:
+    ``scan_points`` counts the energies of the count sweeps.
     """
     if not e_max > 0:
         raise PreconditionError("e_max must be positive")
     steps = default_steps(float(e_max + V0.sup_norm), V0.period)
-    grid = _scan_grid(V0.period, e_max, scan_step)
-    m = _monodromy_batch(V0, grid, steps)
-    disc = m[0, 0] + m[1, 1]
+    swept, disc = _gap_energies(V0, e_max, steps)
 
     brackets = []
-    crossing_cells = set()
     for tgt in (2.0, -2.0):
         f = disc - tgt
         sign_change = np.where(f[:-1] * f[1:] < 0.0)[0]
-        brackets.extend((grid[i], grid[i + 1], tgt, f[i]) for i in sign_change)
-        crossing_cells.update(int(i) for i in sign_change)
+        brackets.extend((swept[i], swept[i + 1], tgt, f[i]) for i in sign_change)
         exact = np.where(f == 0.0)[0]
-        brackets.extend((grid[i], grid[i], tgt, f[i]) for i in exact if 0 < i < grid.size - 1)
-    bump, n_bumps = _bump_brackets(V0, grid, disc, crossing_cells, steps)
-    brackets.extend(bump)
+        brackets.extend((swept[i], swept[i], tgt, f[i]) for i in exact if 0 < i < swept.size - 1)
     edges = sorted(set(_bisect_edges(V0, brackets, steps)))
 
-    boundaries = [grid[0]] + edges + [e_max]
+    boundaries = [swept[0]] + edges + [e_max]
     mids = np.array([0.5 * (a + b) for a, b in zip(boundaries, boundaries[1:])])
-    mm = _monodromy_batch(V0, mids, steps)
+    mm, _ = _monodromy_batch(V0, mids, steps)
     in_band = np.abs(mm[0, 0] + mm[1, 1]) <= 2.0
 
     bands = []
@@ -384,9 +368,8 @@ def band_edges_report(V0: PeriodicPotential, e_max: float,
         "edges_found": int(np.sum(in_band[1:] != in_band[:-1])),
         "merged_gaps": [[float(a), float(b)] for a, b in merged_gaps],
         "dropped_slivers": [[float(a), float(b)] for a, b in slivers],
-        "bump_refinements": n_bumps,
         "truncated_at_e_max": truncated,
-        "scan_points": int(grid.size),
+        "scan_points": int(swept.size),
         "integration_steps": int(steps),
     }
     return I, meta

@@ -103,7 +103,7 @@ def test_criterion_04_hill_free_case():
     start = time.time()
     V0 = hill.free(1.0)
     E = np.linspace(0.0, 100.0, 1000)
-    m = hill._monodromy_batch(V0, E)
+    m, _ = hill._monodromy_batch(V0, E)
     trace_err = float(np.max(np.abs(m[0, 0] + m[1, 1] - 2.0 * np.cos(np.sqrt(E)))))
     dets = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     det_err = float(np.max(np.abs(dets - 1.0)))

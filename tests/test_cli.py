@@ -63,7 +63,7 @@ class TestConfigHandling:
         assert "v.center" in result["error"]
 
     def test_infinite_e_max_refused_before_scan(self):
-        # an infinite e_max would pass the > 0 check and never end the scan
+        # an infinite e_max would pass the > 0 check of band_edges_report
         doc = {"v0": {"type": "free", "period": 1.0},
                "bands": yaml.safe_load("{e_max: .inf}")}
         status, result = cli.run(doc, command="bands")
@@ -189,10 +189,8 @@ class TestConfigHandling:
         assert field in result["error"]
 
     @pytest.mark.parametrize("bands, words", [
-        ({"e_max": 9.0, "scan_step": 1e-20}, "scan points"),
-        ({"e_max": 9.0, "scan_step": 1e-9}, "scan points"),
         ({"e_max": 1e12}, "RK4 steps"),
-    ], ids=["step-stalls", "too-many-points", "too-many-steps"])
+    ], ids=["too-many-steps"])
     def test_hill_refuses_unbounded_work(self, monkeypatch, bands, words):
         def refuse(*args, **kwargs):
             raise AssertionError("monodromy integrated despite the refusal")
@@ -264,20 +262,6 @@ class TestBandsCommand:
         on_disk = json.loads((tmp_path / "bands.json").read_text())
         assert bandset.from_json(on_disk).num_bands == 1
 
-    @pytest.mark.parametrize("scan_step", [10.0, 100.0])
-    def test_scan_without_interior_point(self, tmp_path, scan_step):
-        # a step past e_max + 1 leaves the scan grid [-1, e_max]: the
-        # golden-section chase has no candidate cell to look at
-        doc = {
-            "v0": {"type": "cos", "q": 2.0, "period": 2 * math.pi},
-            "bands": {"e_max": 9.0, "scan_step": scan_step},
-            "output": {"json": "bands.json"},
-        }
-        status, result = cli.run(doc, command="bands", out_dir=str(tmp_path))
-        assert status == 0
-        on_disk = json.loads((tmp_path / "bands.json").read_text())
-        assert bandset.from_json(on_disk).num_bands == len(result["bands"]) >= 1
-
 
 class TestDistortCommand:
     def test_verification_report(self, tmp_path):
@@ -340,20 +324,20 @@ class TestDistortCommand:
         assert result["rejected"] > 0
         assert len(calls) == 1
 
-    def test_hill_path_honours_scan_step(self, monkeypatch):
+    def test_hill_path_passes_e_max(self, monkeypatch):
         seen = []
 
-        def fake_report(v0, e_max, scan_step=None):
-            seen.append((e_max, scan_step))
+        def fake_report(v0, e_max):
+            seen.append((v0.period, e_max))
             return bandset.validate([(1, 2), (3, 4)]), {}
 
         monkeypatch.setattr(hill, "band_edges_report", fake_report)
         doc = {"v0": {"type": "free", "period": 1.0},
-               "bands": {"e_max": 5.0, "scan_step": 0.1},
+               "bands": {"e_max": 5.0},
                "distort": {"omega": -0.5, "samples": 100}}
         status, result = cli.run(doc, command="distort", seed=1)
         assert status == 0
-        assert seen == [(5.0, 0.1)]
+        assert seen == [(1.0, 5.0)]
 
 
 class TestSpectrumCommand:

@@ -38,7 +38,7 @@ class TestPotentials:
 
 
 def _monodromy(V, E, steps=None):
-    return hill._monodromy_batch(V, np.array([E]), steps)[:, :, 0]
+    return hill._monodromy_batch(V, np.array([E]), steps)[0][:, :, 0]
 
 
 def _trace(m):
@@ -50,7 +50,8 @@ def _det(m):
 
 
 def _reference_monodromy(V0, energies, steps):
-    """The sequential RK4 loop: one Python iteration per step."""
+    """The sequential RK4 loop: one Python iteration per step.  Also returns
+    the sign changes of y2 over all steps, the zeros of y2 in (0, T)."""
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     h = V0.period / steps
     x = np.arange(steps + 1) * h
@@ -61,6 +62,7 @@ def _reference_monodromy(V0, energies, steps):
     w = np.zeros((2, E.size))
     y[0] = 1.0
     w[1] = 1.0
+    count = np.zeros(E.size, dtype=int)
     for i in range(steps):
         c0 = v_node[i] - E
         cm = v_mid[i] - E
@@ -73,15 +75,17 @@ def _reference_monodromy(V0, energies, steps):
         k3w = cm * (y + 0.5 * h * k2y)
         k4y = w + h * k3w
         k4w = c1 * (y + h * k3y)
+        neg = y[1] < 0.0
         y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        count += neg != (y[1] < 0.0)
 
     out = np.empty((2, 2, E.size))
     out[0, 0] = y[0]
     out[0, 1] = y[1]
     out[1, 0] = w[0]
     out[1, 1] = w[1]
-    return out
+    return out, count
 
 
 # 1024 = 32 * 32 fills every block; the others leave a short last block.
@@ -130,9 +134,15 @@ class TestMonodromy:
             _monodromy(hill.free(1.0), 1.0, steps=50)
 
     def test_non_finite_energy_raises(self):
-        # NaN compares false against the Wronskian tolerance too
-        with pytest.raises(NumericalError, match="Wronskian"):
-            hill._monodromy_batch(hill.cosine(1.0), np.array([1.0, np.nan]), 1000)
+        # refused before any sampling, with or without explicit steps, and
+        # by default_steps, where int(ceil(nan)) would raise ValueError
+        V = hill.cosine(1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for steps in (None, 1000):
+                with pytest.raises(PreconditionError, match=f"energy {bad} is not finite"):
+                    hill._monodromy_batch(V, np.array([1.0, bad]), steps)
+            with pytest.raises(PreconditionError, match=f"energy {bad} is not finite"):
+                hill.default_steps(bad, V.period)
 
     @_BLOCK_STEPS
     @_BLOCK_POTENTIALS
@@ -140,10 +150,39 @@ class TestMonodromy:
         # the block product reassociates the step products, so the
         # entries agree with the sequential loop at rounding level only
         E = np.linspace(-1.0, e_max, 41)
-        m = hill._monodromy_batch(V0, E, steps)
-        ref = _reference_monodromy(V0, E, steps)
+        m, _ = hill._monodromy_batch(V0, E, steps)
+        ref, _ = _reference_monodromy(V0, E, steps)
         scale = 1.0 + np.sqrt((ref * ref).sum(axis=(0, 1)))
         assert np.all(np.abs(m - ref) <= 1e-11 * scale)
+
+    @_BLOCK_STEPS
+    @_BLOCK_POTENTIALS
+    def test_count_matches_sequential_loop(self, V0, e_max, steps):
+        # sign changes of y2 at the block ends against those at every step
+        E = np.linspace(-1.0, e_max, 41)
+        _, count = hill._monodromy_batch(V0, E, steps)
+        _, ref = _reference_monodromy(V0, E, steps)
+        assert np.array_equal(count, ref)
+
+    def test_count_free_closed_form(self):
+        # the Dirichlet eigenvalues of period T are (k pi / T)^2
+        for T in (1.0, 2.5):
+            E = np.linspace(-1.0, 50.0, 203)
+            _, count = hill._monodromy_batch(hill.free(T), E)
+            expected = np.where(E > 0.0, np.ceil(np.sqrt(np.maximum(E, 0.0)) * T / math.pi) - 1, 0)
+            assert np.array_equal(count, expected)
+
+    def test_blocks_shorter_than_zero_spacing(self):
+        # zeros of y2 lie at least pi / sqrt(E - min V0) <= pi / sqrt(E)
+        # apart, so at most one falls in a block of L steps while the
+        # phase sqrt(E) T over one block stays below pi; every step count
+        # default_steps admits, at the largest phase it sizes that count for
+        worst = 0.0
+        for steps in range(1000, hill._MAX_STEPS + 1):
+            phase = (steps / 80.0) ** 0.8
+            assert hill.default_steps((phase * (1 - 1e-12)) ** 2, 1.0) <= steps
+            worst = max(worst, phase * (math.isqrt(steps - 1) + 1) / steps)
+        assert worst < math.pi
 
     def test_chunks_bound_memory(self):
         # 20000 energies at 1000 steps: 32 blocks, chunks of 256 lanes;
@@ -165,7 +204,7 @@ class TestDiscriminant:
     def test_free_closed_form_positive(self):
         V = hill.free(1.0)
         E = np.linspace(0.0, 100.0, 200)
-        D = _trace(hill._monodromy_batch(V, E))
+        D = _trace(hill._monodromy_batch(V, E)[0])
         assert np.max(np.abs(D - 2.0 * np.cos(np.sqrt(E)))) < 1e-8
 
     def test_free_closed_form_negative(self):
@@ -177,12 +216,13 @@ class TestDiscriminant:
         assert _trace(_monodromy(V, 100.0)) == pytest.approx(-1.6781430581529051, abs=1e-8)
 
     def test_returns_real_floats(self):
-        m = hill._monodromy_batch(hill.cosine(0.5), 3.0)
+        m, count = hill._monodromy_batch(hill.cosine(0.5), 3.0)
         assert m.shape == (2, 2, 1)
         assert m.dtype == np.float64
+        assert count.shape == (1,)
 
 
-_MAX_SWEEPS = 60
+_MAX_SWEEPS = 80
 
 
 @pytest.fixture
@@ -246,15 +286,6 @@ class TestBandEdges:
     def test_bad_inputs(self):
         with pytest.raises(PreconditionError):
             hill.band_edges_report(hill.free(1.0), -3.0)
-        with pytest.raises(PreconditionError):
-            hill.band_edges_report(hill.free(1.0), 10.0, scan_step=0.0)
-
-    @pytest.mark.parametrize("step", [math.nan, math.inf])
-    def test_non_finite_scan_step_refused(self, step):
-        # nan passed the positivity test and made the grid [-1, nan];
-        # inf made a two-point grid
-        with pytest.raises(PreconditionError, match="scan_step"):
-            hill.band_edges_report(hill.cosine(2.0), 9.0, scan_step=step)
 
     def test_classification_constant_on_refinement(self):
         # between consecutive edges the in-band/in-gap verdict must not
@@ -266,23 +297,35 @@ class TestBandEdges:
         hi = I.upper_edges()
         for a, b in zip(lo, hi):
             inner = np.linspace(a + 1e-6, b - 1e-6, 60)
-            assert np.all(np.abs(_trace(hill._monodromy_batch(V0, inner))) <= 2.0 + 1e-6)
+            assert np.all(np.abs(_trace(hill._monodromy_batch(V0, inner)[0])) <= 2.0 + 1e-6)
         for b, a_next in zip(hi[:-1], lo[1:]):
             inner = np.linspace(b + 1e-8, a_next - 1e-8, 60)
-            assert np.all(np.abs(_trace(hill._monodromy_batch(V0, inner))) > 2.0 - 1e-12)
+            assert np.all(np.abs(_trace(hill._monodromy_batch(V0, inner)[0])) > 2.0 - 1e-12)
 
     def test_bisection_stops_at_float_resolution(self, sweeps):
         # edges near 9e5 sit where one float spacing exceeds the 1e-10
         # edge tolerance; a tolerance-only stop bisects until the fixture
-        # cuts it off after _MAX_SWEEPS (the run takes 50 sweeps)
+        # cuts it off after _MAX_SWEEPS (the run takes 66 sweeps: 15 count
+        # sweeps, 50 bisection rounds and the classifying sweep)
         I, _ = hill.band_edges_report(hill.from_samples([0.0, 2e4], 0.01), 1.2e6)
         assert I.edges[-1][0] > 2.0**19
 
-    @pytest.mark.parametrize("q, e_max, most", [(2.0, 9.0, 1900), (1.0, 4.0, 1350)],
+    def test_count_brackets_stop_at_float_resolution(self, sweeps):
+        # period 0.01 closes the third gap at nu_3 = (3 pi / 0.01)^2 = 8.9e5,
+        # where one float spacing exceeds 1e-10: its count bracket runs to
+        # the relative stop width (36 sweeps), an absolute one never ends
+        V0, e_max = hill.free(0.01), 1.2e6
+        swept, _ = hill._gap_energies(V0, e_max, hill.default_steps(e_max, V0.period))
+        nu3 = (3.0 * math.pi / 0.01) ** 2
+        assert np.min(np.abs(swept - nu3)) < 1e-10 * (1.0 + nu3)
+        # each round halves every open bracket
+        assert len(sweeps) <= 1 + math.ceil(math.log2((e_max + 1.0) / 1e-10))
+
+    @pytest.mark.parametrize("q, e_max, most", [(2.0, 9.0, 500), (1.0, 4.0, 320)],
                              ids=["mathieu-q2", "cos-q1"])
     def test_integrated_energies(self, sweeps, q, e_max, most):
         # past a fixed Python overhead of a few ms, a sweep costs its batch
-        # size; the runs integrate 1830 (q = 2) and 1299 (q = 1) energies
+        # size; the runs integrate 416 (q = 2) and 262 (q = 1) energies
         hill.band_edges_report(hill.cosine(q), e_max)
         assert sum(sweeps) <= most
 
@@ -295,17 +338,31 @@ def _reference_bisect_edges(V0, brackets, steps):
     lo = np.array([b[0] for b in brackets])
     hi = np.array([b[1] for b in brackets])
     tgt = np.array([b[2] for b in brackets])
-    m = hill._monodromy_batch(V0, lo, steps)
+    m, _ = hill._monodromy_batch(V0, lo, steps)
     flo = m[0, 0] + m[1, 1] - tgt
     while np.any(hi - lo > np.maximum(hill._EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
         mid = 0.5 * (lo + hi)
-        m = hill._monodromy_batch(V0, mid, steps)
+        m, _ = hill._monodromy_batch(V0, mid, steps)
         fmid = m[0, 0] + m[1, 1] - tgt
         left = (flo * fmid) > 0.0
         lo = np.where(left, mid, lo)
         flo = np.where(left, fmid, flo)
         hi = np.where(left, hi, mid)
     return list(0.5 * (lo + hi))
+
+
+def _reference_scan_grid(period, e_max):
+    """The scan grid of the scan-and-chase path: energies from -1 to e_max,
+    spacing growing like sqrt(E) because edges of the period problem
+    spread quadratically."""
+    e_ref = (math.pi / period) ** 2
+    s0 = 1e-2 * e_ref
+    grid = [-1.0]
+    e = -1.0
+    while e < e_max:
+        e = min(e + s0 * max(1.0, math.sqrt(max(e, 0.0) / e_ref)), e_max)
+        grid.append(e)
+    return np.array(grid)
 
 
 def _reference_bump_brackets(V0, grid, disc, crossing_cells, steps):
@@ -332,7 +389,7 @@ def _reference_bump_brackets(V0, grid, disc, crossing_cells, steps):
             break
         m1 = hi - phi * (hi - lo)
         m2 = lo + phi * (hi - lo)
-        mm = hill._monodromy_batch(V0, np.concatenate([m1, m2]), steps)
+        mm, _ = hill._monodromy_batch(V0, np.concatenate([m1, m2]), steps)
         d = mm[0, 0] + mm[1, 1]
         f1, f2 = d[: m1.size], d[m1.size:]
         take1 = np.abs(f1) >= np.abs(f2)
@@ -352,9 +409,65 @@ def _reference_bump_brackets(V0, grid, disc, crossing_cells, steps):
     return brackets, int(cand.size)
 
 
+def _reference_scan_chase_edges(V0, e_max, steps):
+    """Edges by the scan grid, the golden-section chase of gaps narrower
+    than a scan cell, and ``_reference_bisect_edges``."""
+    grid = _reference_scan_grid(V0.period, e_max)
+    m, _ = hill._monodromy_batch(V0, grid, steps)
+    disc = m[0, 0] + m[1, 1]
+    brackets = []
+    crossing_cells = set()
+    for tgt in (2.0, -2.0):
+        f = disc - tgt
+        sign_change = np.where(f[:-1] * f[1:] < 0.0)[0]
+        brackets.extend((grid[i], grid[i + 1], tgt) for i in sign_change)
+        crossing_cells.update(int(i) for i in sign_change)
+        exact = np.where(f == 0.0)[0]
+        brackets.extend((grid[i], grid[i], tgt) for i in exact if 0 < i < grid.size - 1)
+    brackets.extend(_reference_bump_brackets(V0, grid, disc, crossing_cells, steps)[0])
+    return _reference_bisect_edges(V0, brackets, steps)
+
+
+class TestScanAndChaseOracle:
+    """Count bracketing against the scan grid and golden-section chase it
+    replaced: the same bands, edges within 1e-8 (1 + |E|) and the same
+    metadata flags."""
+
+    @pytest.mark.parametrize("V0, e_max", [
+        (hill.cosine(2.0), 8.0),
+        (hill.cosine(2.0), 9.0),
+        (hill.cosine(2.0), 30.0),
+        (hill.cosine(1.0), 4.0),
+        (hill.cosine(1.0), 8.0),
+        (hill.cosine(1.0), 10.0),
+        (hill.cosine(1.0), 12.0),
+        (hill.cosine(0.3), 60.0),
+        (hill.cosine(5.0), 100.0),
+        (hill.free(1.0), 50.0),
+        (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
+        (hill.from_samples([0.0, 3.0, 1.0, 5.0, 0.5], 1.7), 40.0),
+    ], ids=["q2-8", "q2-9", "q2-30", "q1-4", "q1-8", "q1-10", "q1-12", "q0.3-60",
+            "q5-100", "free-50", "float-resolution", "five-samples"])
+    def test_bands_match_scan_and_chase(self, monkeypatch, V0, e_max):
+        I, meta = hill.band_edges_report(V0, e_max)
+        with monkeypatch.context() as m:
+            m.setattr(hill, "_bisect_edges",
+                      lambda V, brackets, steps: _reference_scan_chase_edges(V, e_max, steps))
+            I_ref, meta_ref = hill.band_edges_report(V0, e_max)
+        assert I.num_bands == I_ref.num_bands
+        for key in ("edges_found", "truncated_at_e_max"):
+            assert meta[key] == meta_ref[key], key
+        for got, want in ((I.edges, I_ref.edges),
+                          (meta["merged_gaps"], meta_ref["merged_gaps"]),
+                          (meta["dropped_slivers"], meta_ref["dropped_slivers"])):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want)))
+
+
 class TestSpeculativeRounds:
-    """Values reused across sweeps: a bracket's D(lo) comes from the scan
-    or the chase sweep, not from a sweep of its own."""
+    """Values reused across sweeps: a bracket's D(lo) comes from the count
+    sweeps, not from a sweep of its own."""
 
     def test_batch_independence(self):
         # carried values equal fresh ones, and edges do not depend on
@@ -363,7 +476,7 @@ class TestSpeculativeRounds:
         V = hill.cosine(2.0)
         steps = hill.default_steps(13.0, V.period)
         probes = np.array([-1.0, 0.5, 0.932, 2.0, 2.6, 3.0, 4.0, 5.0, 8.3345, 9.0])
-        alone = [hill._monodromy_batch(V, probes[k:k + 1], steps)[:, :, 0]
+        alone = [hill._monodromy_batch(V, probes[k:k + 1], steps)[0][:, :, 0]
                  for k in range(probes.size)]
         # chunks of `width` lanes: sizes around one and two chunks
         blocks = -(-steps // (math.isqrt(steps - 1) + 1))
@@ -377,7 +490,7 @@ class TestSpeculativeRounds:
             lanes = lanes[np.argsort(lanes // width != 1, kind="stable")]
             where = np.append(lanes[: probes.size - 1], size - 1)
             batch[where] = probes
-            mixed = hill._monodromy_batch(V, batch, steps)
+            mixed, _ = hill._monodromy_batch(V, batch, steps)
             for k, j in enumerate(where):
                 assert mixed[:, :, j].tobytes() == alone[k].tobytes(), (probes[k], size)
 
@@ -387,20 +500,19 @@ class TestSpeculativeRounds:
         (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
     ], ids=["mathieu-q2", "cos-q1-three-bumps", "float-resolution"])
     def test_edges_bit_identical_to_one_round_per_sweep(self, monkeypatch, V0, e_max):
-        # the reference loops sweep at every bracket start
+        # the reference loop sweeps at every bracket start
         I, meta = hill.band_edges_report(V0, e_max)
         with monkeypatch.context() as m:
             m.setattr(hill, "_bisect_edges", _reference_bisect_edges)
-            m.setattr(hill, "_bump_brackets", _reference_bump_brackets)
             I_ref, meta_ref = hill.band_edges_report(V0, e_max)
-        assert meta["bump_refinements"] > 0  # the golden-section chase ran
         assert np.array_equal(I.edges, I_ref.edges)
         assert meta == meta_ref
 
 
 def _reference_chunk(samples, h, tail, E):
     """``hill._monodromy_chunk`` with every RK4 stage written out as one
-    expression: the byte oracle for the in-place stages."""
+    expression: the byte oracle for the in-place stages.  The count is
+    the same block-end sign count."""
     v_node, v_mid, v_next = samples
     L, B = v_node.shape
     y = np.zeros((2, B, E.size))
@@ -429,9 +541,12 @@ def _reference_chunk(samples, h, tail, E):
 
     blocks = list(np.stack([y, w]).transpose(2, 0, 1, 3)) + done
     m = blocks[0]
+    count = (m[0, 1] < 0.0).astype(int)
     for p in blocks[1:]:
+        neg = m[0, 1] < 0.0
         m = p[:, 0, None] * m[0] + p[:, 1, None] * m[1]
-    return m
+        count += neg != (m[0, 1] < 0.0)
+    return m, count
 
 
 def _with_reference_chunk(monkeypatch, f, *args):
@@ -448,9 +563,10 @@ class TestInPlaceStages:
     @_BLOCK_POTENTIALS
     def test_blocks_byte_identical(self, monkeypatch, V0, e_max, steps):
         E = np.linspace(-1.0, e_max, 41)
-        m = hill._monodromy_batch(V0, E, steps)
-        ref = _with_reference_chunk(monkeypatch, hill._monodromy_batch, V0, E, steps)
+        m, count = hill._monodromy_batch(V0, E, steps)
+        ref, ref_count = _with_reference_chunk(monkeypatch, hill._monodromy_batch, V0, E, steps)
         assert m.tobytes() == ref.tobytes()
+        assert np.array_equal(count, ref_count)
 
     def test_chunk_boundaries_byte_identical(self, monkeypatch):
         # the batch sizes of test_batch_independence, around one and two chunks
@@ -460,9 +576,11 @@ class TestInPlaceStages:
         rng = np.random.default_rng(3)
         for size in (10, 23, 37, width - 1, width, width + 1, 2 * width + 3):
             E = rng.uniform(-1.0, 9.0, size)
-            m = hill._monodromy_batch(V, E, steps)
-            ref = _with_reference_chunk(monkeypatch, hill._monodromy_batch, V, E, steps)
+            m, count = hill._monodromy_batch(V, E, steps)
+            ref, ref_count = _with_reference_chunk(monkeypatch, hill._monodromy_batch,
+                                                   V, E, steps)
             assert m.tobytes() == ref.tobytes(), size
+            assert np.array_equal(count, ref_count), size
 
     @pytest.mark.parametrize("e_max", [9.0, 30.0])
     def test_band_edges_byte_identical(self, monkeypatch, e_max):
