@@ -7,10 +7,12 @@ solution with y(0) = 0 and y'(0) = 1; by Sturm oscillation theory it is
 the number of Dirichlet eigenvalues nu_k below E, and nu_k lies in the
 k-th closed gap (Magnus and Winkler, *Hill's Equation*, 1966).
 ``band_edges_report`` bisects on the count until a swept energy sits in
-every open gap, bisects the crossings of +/-2 between consecutive swept
-energies one round per sweep (the midpoints of all brackets in one
-batch), and assembles a validated :class:`~bandlt.bandset.BandSet` that
-the rest of the toolkit consumes, with metadata on the resolution used.
+every open gap, bisects the gap edges between consecutive swept energies
+one round per sweep (the midpoints of all brackets in one batch), and
+assembles a validated :class:`~bandlt.bandset.BandSet` that the rest of
+the toolkit consumes, with metadata on the resolution used.  A gap needs
+|D| > 2 confirmed by D^2 - 4 taken from the entries (``_gap_side``), so
+rounding at a closed gap opens none.
 
 The monodromy is integrated with fixed-step classical Runge-Kutta, in
 blocks of steps that run side by side (see ``_monodromy_batch``).  The
@@ -241,11 +243,27 @@ def _monodromy_chunk(samples, h, tail, E):
     return m, count
 
 
+def _gap_side(m):
+    """sign D where the monodromies ``m`` (2,2,nE) put E in a gap, else 0.
+
+    A gap needs |D| > 2 and D^2 - 4 = (m00 - m11)^2 + 4 m01 m10 above
+    _EDGE_TOL^2.  At a closed gap M = +/-I, and rounding lifts |D| above
+    2 by up to 4e-13 on a window about 4 sqrt(1e-13 nu_k) / T wide
+    (8.7e-3 at nu_1 for T = 0.01); the entry form has no cancellation
+    there and stays below 1e-30 on free potentials of period 0.01 to
+    2 pi.  The narrowest gap that D resolves on the reference configs
+    (q = 0.3, E = 6.55, 2.6e-7 wide) has D^2 - 4 = 1.1e-13.
+    """
+    d = m[0, 0] + m[1, 1]
+    disc = (m[0, 0] - m[1, 1]) ** 2 + 4.0 * m[0, 1] * m[1, 0]
+    return np.where((np.abs(d) > 2.0) & (disc > _EDGE_TOL ** 2), np.sign(d), 0.0)
+
+
 def _gap_energies(V0, e_max, steps):
     """Energies, sorted, that put a swept point in every gap wider than the
-    stop width, and D at them.
+    stop width, and ``_gap_side`` at them.
 
-    A swept E with |D| > 2 and count n lies in gap n when sign D = (-1)^n
+    A swept E in a gap with count n lies in gap n when sign D = (-1)^n
     and in gap n + 1 otherwise (gap 0 lies below the spectrum), because
     nu_n < E <= nu_(n+1) and D has sign (-1)^k in gap k.  The first sweep
     is E = -1 and e_max, so K = N(e_max) gaps hold a nu_k below e_max.
@@ -262,13 +280,13 @@ def _gap_energies(V0, e_max, steps):
     k = np.arange(1, n[-1] + 1)
     lo, hi = np.full(k.size, e[0]), np.full(k.size, e[1])
     seen = np.zeros(k.size + 2, dtype=bool)
-    energies, discs = [], []
+    energies, sides = [], []
     while True:
-        d = m[0, 0] + m[1, 1]
+        side = _gap_side(m)
         energies.append(e)
-        discs.append(d)
-        gap = n + ((d > 0.0) == (n % 2 == 1))
-        seen[np.minimum(gap[np.abs(d) > 2.0], k.size + 1)] = True
+        sides.append(side)
+        gap = n + ((side > 0.0) == (n % 2 == 1))
+        seen[np.minimum(gap[side != 0.0], k.size + 1)] = True
         below = n < k[:, None]
         lo = np.maximum(lo, np.where(below, e, -np.inf).max(axis=1))
         hi = np.minimum(hi, np.where(below, np.inf, e).min(axis=1))
@@ -277,26 +295,25 @@ def _gap_energies(V0, e_max, steps):
             break
         e = np.unique(0.5 * (lo + hi)[bisect])
         m, n = _monodromy_batch(V0, e, steps)
-    e, d = np.concatenate(energies), np.concatenate(discs)
+    e, side = np.concatenate(energies), np.concatenate(sides)
     order = np.argsort(e)
-    return e[order], d[order]
+    return e[order], side[order]
 
 
 def _bisect_edges(V0, brackets, steps):
-    """Resolve each sign-change bracket (lo, hi, +/-2, D(lo) -/+ 2) of
-    D -/+ 2 to the edge tolerance, or to four float spacings where those
-    are wider (E above 2^17).  Every bracket is halved while any is wide,
-    one round per sweep; D(lo) comes with the bracket."""
+    """Resolve each bracket (lo, hi, s, lo in the gap) of a flip of
+    ``_gap_side`` = s to the edge tolerance, or to four float spacings
+    where those are wider (E above 2^17).  Every bracket is halved while
+    any is wide, one round per sweep; the verdict at lo comes with the
+    bracket and never changes."""
     if not brackets:
         return []
-    lo, hi, tgt, flo = (np.array(c, dtype=float) for c in zip(*brackets))
+    lo, hi, side, inlo = (np.array(c) for c in zip(*brackets))
     while np.any(hi - lo > np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
         mid = 0.5 * (lo + hi)
         m, _ = _monodromy_batch(V0, mid, steps)
-        fmid = m[0, 0] + m[1, 1] - tgt
-        left = (flo * fmid) > 0.0
+        left = (_gap_side(m) == side) == inlo
         lo = np.where(left, mid, lo)
-        flo = np.where(left, fmid, flo)
         hi = np.where(left, hi, mid)
     return list(0.5 * (lo + hi))
 
@@ -305,32 +322,29 @@ def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dic
     """Bracket and bisect the discriminant; returns the band set and metadata.
 
     The count sweeps of ``_gap_energies`` put a swept energy in every gap
-    wider than their stop width, so the sign changes of D -/+ 2 between
+    wider than their stop width, so the flips of ``_gap_side`` between
     consecutive swept energies bracket every edge of those gaps exactly
     once.  Metadata records the edges at which the in-band verdict flips,
-    merged degenerate gaps (length < 1e-8: the free operator closes its
-    gaps exactly and downstream band sets need strict interlacing),
-    whether the last band was truncated at e_max, and the resolution:
-    ``scan_points`` counts the energies of the count sweeps.
+    merged degenerate gaps (length < 1e-8: downstream band sets need
+    strict interlacing), whether the last band was truncated at e_max,
+    and the resolution: ``scan_points`` counts the count-sweep energies.
     """
     if not e_max > 0:
         raise PreconditionError("e_max must be positive")
     steps = default_steps(float(e_max + V0.sup_norm), V0.period)
-    swept, disc = _gap_energies(V0, e_max, steps)
+    swept, side = _gap_energies(V0, e_max, steps)
 
     brackets = []
-    for tgt in (2.0, -2.0):
-        f = disc - tgt
-        sign_change = np.where(f[:-1] * f[1:] < 0.0)[0]
-        brackets.extend((swept[i], swept[i + 1], tgt, f[i]) for i in sign_change)
-        exact = np.where(f == 0.0)[0]
-        brackets.extend((swept[i], swept[i], tgt, f[i]) for i in exact if 0 < i < swept.size - 1)
+    for s in (1.0, -1.0):
+        inside = side == s
+        flips = np.where(inside[:-1] != inside[1:])[0]
+        brackets.extend((swept[i], swept[i + 1], s, inside[i]) for i in flips)
     edges = sorted(set(_bisect_edges(V0, brackets, steps)))
 
     boundaries = [swept[0]] + edges + [e_max]
     mids = np.array([0.5 * (a + b) for a, b in zip(boundaries, boundaries[1:])])
     mm, _ = _monodromy_batch(V0, mids, steps)
-    in_band = np.abs(mm[0, 0] + mm[1, 1]) <= 2.0
+    in_band = _gap_side(mm) == 0.0
 
     bands = []
     truncated = False

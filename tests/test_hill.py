@@ -200,6 +200,25 @@ class TestMonodromy:
         assert peak < 4_000_000
 
 
+class TestGapSide:
+    @pytest.mark.parametrize("period, k", [(0.01, 1), (1.0, 1), (1.0, 3), (2 * math.pi, 5)])
+    def test_closed_gap_window_in_band(self, period, k):
+        # energies within 1e-7 (relative) of nu_k = (k pi / T)^2, the
+        # window where rounding can push |D| past 2
+        V0 = hill.free(period)
+        nu = (k * math.pi / period) ** 2
+        E = nu * (1.0 + np.linspace(-1e-7, 1e-7, 401))
+        m, _ = hill._monodromy_batch(V0, E, hill.default_steps(1.5 * nu, period))
+        assert np.all(hill._gap_side(m) == 0.0)
+
+    def test_sides_of_mathieu_gaps(self):
+        # q = 2: below the spectrum and in gap k, sign D = (-1)^k; bands
+        # 1 and 4; gap 5 is the narrowest below 9 (3.3e-3 wide at 8.334)
+        V0 = hill.cosine(2.0)
+        m, _ = hill._monodromy_batch(V0, np.array([-1.0, 0.93, 1.5, 3.0, 5.0, 8.3343]))
+        assert hill._gap_side(m).tolist() == [1.0, 0.0, -1.0, 1.0, 0.0, -1.0]
+
+
 class TestDiscriminant:
     def test_free_closed_form_positive(self):
         V = hill.free(1.0)
@@ -254,6 +273,18 @@ class TestBandEdges:
         assert meta["edges_found"] == 1
         assert not I.terminal_ray
         assert I.validity_cap == 50.0
+
+    @pytest.mark.parametrize("period, e_max", [(0.01, 1.2e6), (2 * math.pi, 253.3),
+                                               (1.0, 900.0)],
+                             ids=["period-0.01", "period-2pi", "period-1"])
+    def test_free_closed_gaps_stay_closed(self, period, e_max):
+        # the count bisection probes every closed gap at nu_k, where
+        # rounding lifts |D| above 2 on a window up to 8.7e-3 wide (period
+        # 0.01 at nu_1); none of it may open a gap or a merged one
+        I, meta = hill.band_edges_report(hill.free(period), e_max)
+        assert I.num_bands == 1
+        assert meta["edges_found"] == 1
+        assert meta["merged_gaps"] == [] and meta["dropped_slivers"] == []
 
     def test_below_first_band_errors(self):
         with pytest.raises(NumericalError, match="no band"):
@@ -331,8 +362,27 @@ class TestBandEdges:
 
 
 def _reference_bisect_edges(V0, brackets, steps):
-    """One bisection round per sweep that sweeps D(lo) at the bracket
+    """One bisection round per sweep that sweeps the verdict at the bracket
     starts instead of taking it from the bracket."""
+    if not brackets:
+        return []
+    lo = np.array([b[0] for b in brackets])
+    hi = np.array([b[1] for b in brackets])
+    side = np.array([b[2] for b in brackets])
+    m, _ = hill._monodromy_batch(V0, lo, steps)
+    inlo = hill._gap_side(m) == side
+    while np.any(hi - lo > np.maximum(hill._EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
+        mid = 0.5 * (lo + hi)
+        m, _ = hill._monodromy_batch(V0, mid, steps)
+        left = (hill._gap_side(m) == side) == inlo
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return list(0.5 * (lo + hi))
+
+
+def _reference_d_bisect_edges(V0, brackets, steps):
+    """Bisection of the sign changes (lo, hi, +/-2) of D -/+ 2 in the
+    scan-and-chase path, D(lo) swept at the bracket starts."""
     if not brackets:
         return []
     lo = np.array([b[0] for b in brackets])
@@ -411,7 +461,7 @@ def _reference_bump_brackets(V0, grid, disc, crossing_cells, steps):
 
 def _reference_scan_chase_edges(V0, e_max, steps):
     """Edges by the scan grid, the golden-section chase of gaps narrower
-    than a scan cell, and ``_reference_bisect_edges``."""
+    than a scan cell, and ``_reference_d_bisect_edges``."""
     grid = _reference_scan_grid(V0.period, e_max)
     m, _ = hill._monodromy_batch(V0, grid, steps)
     disc = m[0, 0] + m[1, 1]
@@ -425,7 +475,7 @@ def _reference_scan_chase_edges(V0, e_max, steps):
         exact = np.where(f == 0.0)[0]
         brackets.extend((grid[i], grid[i], tgt) for i in exact if 0 < i < grid.size - 1)
     brackets.extend(_reference_bump_brackets(V0, grid, disc, crossing_cells, steps)[0])
-    return _reference_bisect_edges(V0, brackets, steps)
+    return _reference_d_bisect_edges(V0, brackets, steps)
 
 
 class TestScanAndChaseOracle:
@@ -466,8 +516,8 @@ class TestScanAndChaseOracle:
 
 
 class TestSpeculativeRounds:
-    """Values reused across sweeps: a bracket's D(lo) comes from the count
-    sweeps, not from a sweep of its own."""
+    """Values reused across sweeps: a bracket's verdict at lo comes from
+    the count sweeps, not from a sweep of its own."""
 
     def test_batch_independence(self):
         # carried values equal fresh ones, and edges do not depend on
