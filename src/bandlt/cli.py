@@ -41,6 +41,19 @@ COMMANDS = ("bands", "distort", "spectrum", "ltcheck", "hansmann", "sweep")
 THEOREMS = ("T1", "T1simplified", "T2", "T3")
 _MAX_SAMPLES = 10**7  # distort.samples; the sampler may draw 2000 per sample
 _MAX_TRIALS = 10**4  # hansmann.trials; each trial is a dense n x n eigensolve
+# the keys each section may hold, whatever the command ("" is the top level)
+_KNOWN_KEYS = {section: set(keys.split()) for section, keys in {
+    "": "command seed v0 v grid bands exponents delta omega theorem a_values "
+        "alphas distort hansmann output",
+    "v0": "type q period values",
+    "v": "type coupling values amplitude center halfwidth",
+    "grid": "length periods points boundary",
+    "bands": "file e_max close_with_ray",
+    "exponents": "p epsilon",
+    "distort": "omega variant samples",
+    "hansmann": "n trials p scale diagonal",
+    "output": "json csv svg",
+}.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +147,16 @@ class Cfg:
         if choices and val not in choices:
             raise ConfigError(f"'{self._path(key)}' must be one of {choices}")
         return val
+
+
+def _check_keys(config: dict) -> None:
+    """Refuse, naming its path, a key that no command reads in its section."""
+    for section, known in _KNOWN_KEYS.items():
+        doc = config.get(section) if section else config
+        for key in doc if isinstance(doc, dict) else ():  # non-mappings fail when read
+            if key not in known:
+                path = f"{section}.{key}" if section else key
+                raise ConfigError(f"unknown config key '{path}'")
 
 
 def _pair(raw, path: str) -> complex:
@@ -554,6 +577,7 @@ def run(config: dict, command: str | None = None, seed: int | None = None,
     """Execute a pipeline; returns (exit status, result document)."""
     try:
         cfg = Cfg(config)
+        _check_keys(config)
         cmd = command or cfg.string("command", choices=COMMANDS)
         if cmd is None:
             raise ConfigError("missing 'command' (or pass one on the CLI)")

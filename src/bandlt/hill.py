@@ -6,10 +6,11 @@ returns the Dirichlet count N(E), the number of zeros in (0, T) of the
 solution with y(0) = 0 and y'(0) = 1; by Sturm oscillation theory it is
 the number of Dirichlet eigenvalues nu_k below E, and nu_k lies in the
 k-th closed gap (Magnus and Winkler, *Hill's Equation*, 1966).
-``band_edges_report`` bisects on the count until a swept energy sits in
-every open gap, bisects the gap edges between consecutive swept energies
-one round per sweep (the midpoints of all brackets in one batch), and
-assembles a validated :class:`~bandlt.bandset.BandSet` that the rest of
+``band_edges_report`` runs one bisection loop over neighbouring swept
+energies (``_sweep``): each sweep takes, in one batch, the midpoint of
+every pair that holds a Dirichlet eigenvalue of a gap no energy lies in
+yet, or whose gap verdicts differ.  The runs of in-band energies are the
+bands of a validated :class:`~bandlt.bandset.BandSet` that the rest of
 the toolkit consumes, with metadata on the resolution used.  A gap needs
 |D| > 2 confirmed by D^2 - 4 taken from the entries (``_gap_side``), so
 rounding at a closed gap opens none.
@@ -58,18 +59,23 @@ class PeriodicPotential:
     sup_norm: float
 
 
-def from_callable(f, period: float, sup_norm: float | None = None) -> PeriodicPotential:
-    """Wrap a closed-form potential, checking periodicity and V0 >= 0."""
-    if not period > 0:
-        raise ValidationError("period must be positive")
-    x = np.linspace(0.0, period, _PROBE_POINTS, endpoint=False)
-    vals = np.asarray(f(x), dtype=float)
+def _check_values(vals: np.ndarray) -> None:
+    """Refuse non-finite values and V0 < 0 beyond rounding (-1e-12)."""
     if not np.all(np.isfinite(vals)):
         raise ValidationError("potential evaluates to non-finite values")
     if np.min(vals) < -1e-12:
         raise HypothesisViolationError(
             f"background potential must be nonnegative; min sample {np.min(vals)}"
         )
+
+
+def from_callable(f, period: float, sup_norm: float | None = None) -> PeriodicPotential:
+    """Wrap a closed-form potential, checking periodicity and V0 >= 0."""
+    if not period > 0:
+        raise ValidationError("period must be positive")
+    x = np.linspace(0.0, period, _PROBE_POINTS, endpoint=False)
+    vals = np.asarray(f(x), dtype=float)
+    _check_values(vals)
     shifted = np.asarray(f(x + period), dtype=float)
     scale = 1.0 + np.max(np.abs(vals))
     if np.max(np.abs(shifted - vals)) > 1e-12 * scale:
@@ -94,10 +100,12 @@ def cosine(q: float, period: float = 2.0 * math.pi) -> PeriodicPotential:
 
 
 def from_samples(values, period: float) -> PeriodicPotential:
-    """Potential from uniform samples on one period, linearly interpolated."""
+    """Potential from uniform samples on one period, linearly interpolated;
+    its extremes are at the samples, so V0 >= 0 and the sup norm are too."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise ValidationError("need a 1D array of at least two samples")
+    _check_values(vals)
     xs = np.linspace(0.0, period, vals.size, endpoint=False)
     xs_wrap = np.append(xs, period)
     vals_wrap = np.append(vals, vals[0])
@@ -105,7 +113,7 @@ def from_samples(values, period: float) -> PeriodicPotential:
     def evaluate(x):
         return np.interp(np.mod(np.asarray(x, dtype=float), period), xs_wrap, vals_wrap)
 
-    return from_callable(evaluate, period)
+    return from_callable(evaluate, period, sup_norm=float(np.max(np.abs(vals))))
 
 
 def default_steps(energy: float, period: float) -> int:
@@ -259,107 +267,70 @@ def _gap_side(m):
     return np.where((np.abs(d) > 2.0) & (disc > _EDGE_TOL ** 2), np.sign(d), 0.0)
 
 
-def _gap_energies(V0, e_max, steps):
-    """Energies, sorted, that put a swept point in every gap wider than the
-    stop width, and ``_gap_side`` at them.
+def _sweep(V0, e_max, steps):
+    """Swept energies, sorted, and ``_gap_side`` at them.
 
     A swept E in a gap with count n lies in gap n when sign D = (-1)^n
     and in gap n + 1 otherwise (gap 0 lies below the spectrum), because
     nu_n < E <= nu_(n+1) and D has sign (-1)^k in gap k.  The first sweep
     is E = -1 and e_max, so K = N(e_max) gaps hold a nu_k below e_max.
-    Each later round bisects, in one sweep, the bracket (max E with
-    N < k, min E with N >= k] of every gap k <= K not yet seen.  The
-    bracket holds nu_k, so it reaches into gap k once it is narrower than
-    the gap; a bracket stops at width 1e-10 (1 + |E|), above four float
-    spacings at every E, and such a gap counts as closed.  Each round
-    halves every open bracket, so there are at most
+    Each later sweep bisects every pair of neighbouring energies that
+    (a) holds nu_k of a gap k <= K that no energy lies in yet and is
+    wider than 1e-10 (1 + |E|), or (b) has two different verdicts and is
+    wider than the edge tolerance and four float spacings.  A pair
+    narrower than gap k reaches into it; one that stops at width (a)
+    marks a closed gap.  A pair that needs no work never needs it again,
+    so each sweep halves every open pair: at most
     1 + ceil(log2((e_max + 1) / 1e-10)) sweeps.
     """
     e = np.array([-1.0, float(e_max)])
     m, n = _monodromy_batch(V0, e, steps)
-    k = np.arange(1, n[-1] + 1)
-    lo, hi = np.full(k.size, e[0]), np.full(k.size, e[1])
-    seen = np.zeros(k.size + 2, dtype=bool)
-    energies, sides = [], []
+    side = _gap_side(m)
+    K = int(n[-1])
+    seen = np.zeros(K + 2, dtype=bool)
     while True:
-        side = _gap_side(m)
-        energies.append(e)
-        sides.append(side)
         gap = n + ((side > 0.0) == (n % 2 == 1))
-        seen[np.minimum(gap[side != 0.0], k.size + 1)] = True
-        below = n < k[:, None]
-        lo = np.maximum(lo, np.where(below, e, -np.inf).max(axis=1))
-        hi = np.minimum(hi, np.where(below, np.inf, e).min(axis=1))
-        bisect = ~seen[k] & (hi - lo > 1e-10 * (1.0 + np.abs(hi)))
-        if not np.any(bisect):
-            break
-        e = np.unique(0.5 * (lo + hi)[bisect])
-        m, n = _monodromy_batch(V0, e, steps)
-    e, side = np.concatenate(energies), np.concatenate(sides)
-    order = np.argsort(e)
-    return e[order], side[order]
-
-
-def _bisect_edges(V0, brackets, steps):
-    """Resolve each bracket (lo, hi, s, lo in the gap) of a flip of
-    ``_gap_side`` = s to the edge tolerance, or to four float spacings
-    where those are wider (E above 2^17).  Every bracket is halved while
-    any is wide, one round per sweep; the verdict at lo comes with the
-    bracket and never changes."""
-    if not brackets:
-        return []
-    lo, hi, side, inlo = (np.array(c) for c in zip(*brackets))
-    while np.any(hi - lo > np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
-        mid = 0.5 * (lo + hi)
-        m, _ = _monodromy_batch(V0, mid, steps)
-        left = (_gap_side(m) == side) == inlo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return list(0.5 * (lo + hi))
+        seen[np.minimum(gap[side != 0.0], K + 1)] = True
+        unseen = np.cumsum(~seen[:K + 1])  # unseen[k]: gaps 0..k holding no energy
+        lo, hi = e[:-1], e[1:]
+        holds = unseen[np.minimum(n[1:], K)] > unseen[np.minimum(n[:-1], K)]
+        work = ((holds & (hi - lo > 1e-10 * (1.0 + np.abs(hi))))
+                | ((side[:-1] != side[1:])
+                   & (hi - lo > np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi))))))
+        if not np.any(work):
+            return e, side
+        at = np.flatnonzero(work) + 1
+        mid = 0.5 * (lo + hi)[work]
+        m, n_mid = _monodromy_batch(V0, mid, steps)
+        e = np.insert(e, at, mid)
+        side = np.insert(side, at, _gap_side(m))
+        n = np.insert(n, at, n_mid)
 
 
 def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dict]:
     """Bracket and bisect the discriminant; returns the band set and metadata.
 
-    The count sweeps of ``_gap_energies`` put a swept energy in every gap
-    wider than their stop width, so the flips of ``_gap_side`` between
-    consecutive swept energies bracket every edge of those gaps exactly
-    once.  Metadata records the edges at which the in-band verdict flips,
-    merged degenerate gaps (length < 1e-8: downstream band sets need
-    strict interlacing), whether the last band was truncated at e_max,
-    and the resolution: ``scan_points`` counts the count-sweep energies.
+    The bands are the runs of in-band energies of ``_sweep``, each edge
+    the midpoint of the pair where the verdict flips, a run that reaches
+    e_max truncated there.  Metadata records the edges found, merged
+    degenerate gaps (length < 1e-8: downstream band sets need strict
+    interlacing), the truncation, and ``scan_points``: every swept energy.
     """
     if not e_max > 0:
         raise PreconditionError("e_max must be positive")
     steps = default_steps(float(e_max + V0.sup_norm), V0.period)
-    swept, side = _gap_energies(V0, e_max, steps)
+    swept, side = _sweep(V0, e_max, steps)
 
-    brackets = []
-    for s in (1.0, -1.0):
-        inside = side == s
-        flips = np.where(inside[:-1] != inside[1:])[0]
-        brackets.extend((swept[i], swept[i + 1], s, inside[i]) for i in flips)
-    edges = sorted(set(_bisect_edges(V0, brackets, steps)))
-
-    boundaries = [swept[0]] + edges + [e_max]
-    mids = np.array([0.5 * (a + b) for a, b in zip(boundaries, boundaries[1:])])
-    mm, _ = _monodromy_batch(V0, mids, steps)
-    in_band = _gap_side(mm) == 0.0
-
-    bands = []
-    truncated = False
-    for seg, inside in enumerate(in_band):
-        left, right = boundaries[seg], boundaries[seg + 1]
-        if not inside or right <= left:
-            continue
-        if bands and bands[-1][1] == left:
-            bands[-1] = (bands[-1][0], right)
-        else:
-            bands.append((left, right))
+    inside = side == 0.0
+    flips = np.flatnonzero(inside[:-1] != inside[1:])
+    # rounding can put E = -1 in a band at tiny periods: the band starts
+    # there, and validate refuses it
+    cuts = np.concatenate([swept[:1][inside[:1]], 0.5 * (swept[flips] + swept[flips + 1]),
+                           swept[-1:][inside[-1:]]])
+    bands = [(a, b) for a, b in cuts.reshape(-1, 2)]
     if not bands:
         raise NumericalError(f"no band found below e_max={e_max}")
-    if bands[-1][1] == e_max:
-        truncated = True
+    truncated = bool(inside[-1])
 
     merged, merged_gaps = [bands[0]], []
     for a, b in bands[1:]:
@@ -379,7 +350,7 @@ def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dic
 
     I = bandset.validate(merged)
     meta = {
-        "edges_found": int(np.sum(in_band[1:] != in_band[:-1])),
+        "edges_found": int(flips.size),
         "merged_gaps": [[float(a), float(b)] for a, b in merged_gaps],
         "dropped_slivers": [[float(a), float(b)] for a, b in slivers],
         "truncated_at_e_max": truncated,

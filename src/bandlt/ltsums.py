@@ -297,10 +297,10 @@ def coupling_sweep(run_point, alphas) -> list[dict]:
     alpha^p modulo its (1 + |alpha V|_p) factors, so rows carry
     lhs / alpha^p for the trend check.
     """
+    if any(alpha < 0 for alpha in alphas):
+        raise PreconditionError("coupling values must be nonnegative")
     rows = []
     for alpha in alphas:
-        if alpha < 0:
-            raise PreconditionError("coupling values must be nonnegative")
         rep = run_point(float(alpha))
         p = float(rep.parameters["p"])
         rows.append({

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,49 @@ class TestConfigHandling:
         status, result = cli.run(doc, command="bands")
         assert status == EXIT_CONFIG
         assert words in result["error"]
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d["bands"].update(scan_step=0.1), "bands.scan_step"),
+        (lambda d: d["bands"].update(emax_typo=1), "bands.emax_typo"),
+        (lambda d: d.update(thoerem="T1"), "thoerem"),
+        (lambda d: d["v0"].update(amplitude=2.0), "v0.amplitude"),
+        (lambda d: d.update(output={"jsn": "x.json"}), "output.jsn"),
+    ], ids=["scan_step", "bands-typo", "top-level-typo", "v0-key", "output-key"])
+    def test_unknown_key_exits_2_naming_it(self, monkeypatch, edit, path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("monodromy integrated despite an unknown key")
+
+        monkeypatch.setattr(hill, "_monodromy_batch", refuse)
+        doc = {"v0": {"type": "cos", "q": 2.0}, "bands": {"e_max": 9.0}}
+        edit(doc)
+        status, result = cli.run(doc, command="bands")
+        assert status == EXIT_CONFIG, result
+        assert f"'{path}'" in result["error"]
+
+    def test_samples_below_zero_exit_3(self):
+        doc = {"v0": {"type": "samples", "period": 1.0, "values": [1.0, -1e-6, 1.0]},
+               "bands": {"e_max": 9.0}}
+        status, result = cli.run(doc, command="bands")
+        assert status == EXIT_HYPOTHESIS, result
+
+    def test_readme_configs_run(self, tmp_path, monkeypatch):
+        # every YAML block of the README, run by the commands it names;
+        # the ltcheck block adds to spectrum.yaml and serves sweep too
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = {}
+        for text in re.findall(r"```yaml\n(.*?)```", readme, re.S):
+            blocks[text.split()[1]] = yaml.safe_load(text)
+        assert set(blocks) == {"bands.yaml", "spectrum.yaml", "ltcheck.yaml",
+                               "distort.yaml", "hansmann.yaml"}
+        model = {**blocks["spectrum.yaml"], **blocks["ltcheck.yaml"]}
+        monkeypatch.chdir(tmp_path)  # outputs, and bands.json for distort
+        for command, doc in [("bands", blocks["bands.yaml"]),
+                             ("distort", blocks["distort.yaml"]),
+                             ("spectrum", blocks["spectrum.yaml"]),
+                             ("ltcheck", model), ("sweep", model),
+                             ("hansmann", blocks["hansmann.yaml"])]:
+            status, result = cli.run(doc, command=command)
+            assert status == 0, (command, result)
 
     def test_yaml_file_loading(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -17,6 +17,11 @@ class TestPotentials:
     def test_negative_rejected(self):
         with pytest.raises(HypothesisViolationError):
             hill.from_callable(lambda x: np.cos(x), 2 * math.pi)
+        # the interpolant dips to its least sample only at that node,
+        # which the probe grid need not hit
+        with pytest.raises(HypothesisViolationError, match="nonnegative"):
+            hill.from_samples([1.0, -1e-6, 1.0], 1.0)
+        hill.from_samples([1.0, -1e-13, 1.0], 1.0)  # rounding, as from_callable
 
     def test_non_periodic_rejected(self):
         with pytest.raises(ValidationError, match="periodic"):
@@ -29,6 +34,8 @@ class TestPotentials:
     def test_sup_norm(self):
         assert hill.cosine(2.0).sup_norm == 4.0
         assert hill.free(1.0).sup_norm == 0.0
+        # the largest sample, which the probe grid need not hit
+        assert hill.from_samples([0.0, 3.0, 1.0, 5.0, 0.5], 1.7).sup_norm == 5.0
 
     def test_from_samples_interpolates(self):
         x = np.linspace(0, 2 * math.pi, 256, endpoint=False)
@@ -261,6 +268,12 @@ def sweeps(monkeypatch):
     return sizes
 
 
+def _sweep_bound(e_max):
+    """Sweeps of the bisection loop: the first, then one per halving of
+    the widest open pair from e_max + 1 down to 1e-10."""
+    return 1 + math.ceil(math.log2((e_max + 1.0) / 1e-10))
+
+
 class TestBandEdges:
     def test_free_single_truncated_band(self):
         I, meta = hill.band_edges_report(hill.free(1.0), 50.0)
@@ -277,7 +290,7 @@ class TestBandEdges:
     @pytest.mark.parametrize("period, e_max", [(0.01, 1.2e6), (2 * math.pi, 253.3),
                                                (1.0, 900.0)],
                              ids=["period-0.01", "period-2pi", "period-1"])
-    def test_free_closed_gaps_stay_closed(self, period, e_max):
+    def test_free_closed_gaps_stay_closed(self, sweeps, period, e_max):
         # the count bisection probes every closed gap at nu_k, where
         # rounding lifts |D| above 2 on a window up to 8.7e-3 wide (period
         # 0.01 at nu_1); none of it may open a gap or a merged one
@@ -285,6 +298,7 @@ class TestBandEdges:
         assert I.num_bands == 1
         assert meta["edges_found"] == 1
         assert meta["merged_gaps"] == [] and meta["dropped_slivers"] == []
+        assert len(sweeps) <= _sweep_bound(e_max)
 
     def test_below_first_band_errors(self):
         with pytest.raises(NumericalError, match="no band"):
@@ -336,21 +350,20 @@ class TestBandEdges:
     def test_bisection_stops_at_float_resolution(self, sweeps):
         # edges near 9e5 sit where one float spacing exceeds the 1e-10
         # edge tolerance; a tolerance-only stop bisects until the fixture
-        # cuts it off after _MAX_SWEEPS (the run takes 66 sweeps: 15 count
-        # sweeps, 50 bisection rounds and the classifying sweep)
+        # cuts it off after _MAX_SWEEPS (the run takes 55 sweeps)
         I, _ = hill.band_edges_report(hill.from_samples([0.0, 2e4], 0.01), 1.2e6)
         assert I.edges[-1][0] > 2.0**19
 
     def test_count_brackets_stop_at_float_resolution(self, sweeps):
         # period 0.01 closes the third gap at nu_3 = (3 pi / 0.01)^2 = 8.9e5,
-        # where one float spacing exceeds 1e-10: its count bracket runs to
-        # the relative stop width (36 sweeps), an absolute one never ends
+        # where one float spacing exceeds 1e-10: the pair holding it runs to
+        # the relative stop width, an absolute one never ends
         V0, e_max = hill.free(0.01), 1.2e6
-        swept, _ = hill._gap_energies(V0, e_max, hill.default_steps(e_max, V0.period))
+        swept, _ = hill._sweep(V0, e_max, hill.default_steps(e_max, V0.period))
         nu3 = (3.0 * math.pi / 0.01) ** 2
         assert np.min(np.abs(swept - nu3)) < 1e-10 * (1.0 + nu3)
-        # each round halves every open bracket
-        assert len(sweeps) <= 1 + math.ceil(math.log2((e_max + 1.0) / 1e-10))
+        # each round halves every open pair
+        assert len(sweeps) <= _sweep_bound(e_max)
 
     @pytest.mark.parametrize("q, e_max, most", [(2.0, 9.0, 500), (1.0, 4.0, 320)],
                              ids=["mathieu-q2", "cos-q1"])
@@ -359,25 +372,6 @@ class TestBandEdges:
         # size; the runs integrate 416 (q = 2) and 262 (q = 1) energies
         hill.band_edges_report(hill.cosine(q), e_max)
         assert sum(sweeps) <= most
-
-
-def _reference_bisect_edges(V0, brackets, steps):
-    """One bisection round per sweep that sweeps the verdict at the bracket
-    starts instead of taking it from the bracket."""
-    if not brackets:
-        return []
-    lo = np.array([b[0] for b in brackets])
-    hi = np.array([b[1] for b in brackets])
-    side = np.array([b[2] for b in brackets])
-    m, _ = hill._monodromy_batch(V0, lo, steps)
-    inlo = hill._gap_side(m) == side
-    while np.any(hi - lo > np.maximum(hill._EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))):
-        mid = 0.5 * (lo + hi)
-        m, _ = hill._monodromy_batch(V0, mid, steps)
-        left = (hill._gap_side(m) == side) == inlo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return list(0.5 * (lo + hi))
 
 
 def _reference_d_bisect_edges(V0, brackets, steps):
@@ -478,51 +472,95 @@ def _reference_scan_chase_edges(V0, e_max, steps):
     return _reference_d_bisect_edges(V0, brackets, steps)
 
 
+def _reference_report(V0, e_max):
+    """Band edges and metadata flags by the scan-and-chase edges and the
+    assembly that went with them: classify the segment between each two
+    consecutive edges by ``_gap_side`` at its midpoint, join touching
+    in-band segments, then merge degenerate gaps, clamp the first edge
+    to 0 and drop slivers as ``band_edges_report`` does."""
+    steps = hill.default_steps(float(e_max + V0.sup_norm), V0.period)
+    edges = sorted(set(_reference_scan_chase_edges(V0, e_max, steps)))
+    boundaries = [-1.0] + edges + [e_max]
+    mids = np.array([0.5 * (a + b) for a, b in zip(boundaries, boundaries[1:])])
+    in_band = hill._gap_side(hill._monodromy_batch(V0, mids, steps)[0]) == 0.0
+    bands = []
+    for seg, inside in enumerate(in_band):
+        left, right = boundaries[seg], boundaries[seg + 1]
+        if not inside or right <= left:
+            continue
+        if bands and bands[-1][1] == left:
+            bands[-1] = (bands[-1][0], right)
+        else:
+            bands.append((left, right))
+    merged, merged_gaps = [bands[0]], []
+    for a, b in bands[1:]:
+        if a - merged[-1][1] < hill._DEGENERATE_GAP:
+            merged_gaps.append((merged[-1][1], a))
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    merged = [(0.0 if -10.0 * hill._EDGE_TOL < a < 0.0 else a, b) for a, b in merged]
+    meta = {
+        "edges_found": int(np.sum(in_band[1:] != in_band[:-1])),
+        "truncated_at_e_max": bands[-1][1] == e_max,
+        "merged_gaps": merged_gaps,
+        "dropped_slivers": [(a, b) for a, b in merged if b - a < hill._DEGENERATE_GAP],
+    }
+    return [(a, b) for a, b in merged if b - a >= hill._DEGENERATE_GAP], meta
+
+
+_ORACLE_CONFIGS = pytest.mark.parametrize("V0, e_max", [
+    (hill.cosine(2.0), 8.0),
+    (hill.cosine(2.0), 9.0),
+    (hill.cosine(2.0), 30.0),
+    (hill.cosine(1.0), 4.0),
+    (hill.cosine(1.0), 8.0),
+    (hill.cosine(1.0), 10.0),
+    (hill.cosine(1.0), 12.0),
+    (hill.cosine(0.3), 60.0),
+    (hill.cosine(5.0), 100.0),
+    (hill.free(1.0), 50.0),
+    (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
+    (hill.from_samples([0.0, 3.0, 1.0, 5.0, 0.5], 1.7), 40.0),
+], ids=["q2-8", "q2-9", "q2-30", "q1-4", "q1-8", "q1-10", "q1-12", "q0.3-60",
+        "q5-100", "free-50", "float-resolution", "five-samples"])
+
+
 class TestScanAndChaseOracle:
-    """Count bracketing against the scan grid and golden-section chase it
-    replaced: the same bands, edges within 1e-8 (1 + |E|) and the same
+    """The bisection loop against the scan grid and golden-section chase
+    it replaced: the same bands, edges within 1e-8 (1 + |E|) and the same
     metadata flags."""
 
-    @pytest.mark.parametrize("V0, e_max", [
-        (hill.cosine(2.0), 8.0),
-        (hill.cosine(2.0), 9.0),
-        (hill.cosine(2.0), 30.0),
-        (hill.cosine(1.0), 4.0),
-        (hill.cosine(1.0), 8.0),
-        (hill.cosine(1.0), 10.0),
-        (hill.cosine(1.0), 12.0),
-        (hill.cosine(0.3), 60.0),
-        (hill.cosine(5.0), 100.0),
-        (hill.free(1.0), 50.0),
-        (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
-        (hill.from_samples([0.0, 3.0, 1.0, 5.0, 0.5], 1.7), 40.0),
-    ], ids=["q2-8", "q2-9", "q2-30", "q1-4", "q1-8", "q1-10", "q1-12", "q0.3-60",
-            "q5-100", "free-50", "float-resolution", "five-samples"])
-    def test_bands_match_scan_and_chase(self, monkeypatch, V0, e_max):
+    @_ORACLE_CONFIGS
+    def test_bands_match_scan_and_chase(self, V0, e_max):
         I, meta = hill.band_edges_report(V0, e_max)
-        with monkeypatch.context() as m:
-            m.setattr(hill, "_bisect_edges",
-                      lambda V, brackets, steps: _reference_scan_chase_edges(V, e_max, steps))
-            I_ref, meta_ref = hill.band_edges_report(V0, e_max)
-        assert I.num_bands == I_ref.num_bands
+        edges_ref, meta_ref = _reference_report(V0, e_max)
+        assert I.num_bands == len(edges_ref)
         for key in ("edges_found", "truncated_at_e_max"):
             assert meta[key] == meta_ref[key], key
-        for got, want in ((I.edges, I_ref.edges),
+        for got, want in ((I.edges, edges_ref),
                           (meta["merged_gaps"], meta_ref["merged_gaps"]),
                           (meta["dropped_slivers"], meta_ref["dropped_slivers"])):
             got, want = np.asarray(got), np.asarray(want)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want)))
 
+    @_ORACLE_CONFIGS
+    def test_sweeps_within_bound(self, sweeps, V0, e_max):
+        # a pair that needs no work never needs it again, so every sweep
+        # halves the widest open pair
+        hill.band_edges_report(V0, e_max)
+        assert len(sweeps) <= _sweep_bound(e_max)
+
 
 class TestSpeculativeRounds:
-    """Values reused across sweeps: a bracket's verdict at lo comes from
-    the count sweeps, not from a sweep of its own."""
+    """Values reused across sweeps: the verdict at a swept energy decides
+    every later round it borders."""
 
     def test_batch_independence(self):
-        # carried values equal fresh ones, and edges do not depend on
-        # which brackets share a round, only because an energy's
-        # monodromy has the same bits alone and inside any batch
+        # edges do not depend on which pairs share a round only because
+        # an energy's monodromy has the same bits alone and inside any
+        # batch
         V = hill.cosine(2.0)
         steps = hill.default_steps(13.0, V.period)
         probes = np.array([-1.0, 0.5, 0.932, 2.0, 2.6, 3.0, 4.0, 5.0, 8.3345, 9.0])
@@ -543,20 +581,6 @@ class TestSpeculativeRounds:
             mixed, _ = hill._monodromy_batch(V, batch, steps)
             for k, j in enumerate(where):
                 assert mixed[:, :, j].tobytes() == alone[k].tobytes(), (probes[k], size)
-
-    @pytest.mark.parametrize("V0, e_max", [
-        (hill.cosine(2.0), 9.0),
-        (hill.cosine(1.0), 12.0),
-        (hill.from_samples([0.0, 2e4], 0.01), 1.2e6),
-    ], ids=["mathieu-q2", "cos-q1-three-bumps", "float-resolution"])
-    def test_edges_bit_identical_to_one_round_per_sweep(self, monkeypatch, V0, e_max):
-        # the reference loop sweeps at every bracket start
-        I, meta = hill.band_edges_report(V0, e_max)
-        with monkeypatch.context() as m:
-            m.setattr(hill, "_bisect_edges", _reference_bisect_edges)
-            I_ref, meta_ref = hill.band_edges_report(V0, e_max)
-        assert np.array_equal(I.edges, I_ref.edges)
-        assert meta == meta_ref
 
 
 def _reference_chunk(samples, h, tail, E):

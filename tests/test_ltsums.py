@@ -239,8 +239,13 @@ class TestCouplingSweep:
             assert row["rhs_structure"] == pytest.approx(row["alpha"] ** p)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(PreconditionError):
-            ltsums.coupling_sweep(lambda a: None, [-1.0])
+        # refused before any point runs, wherever it stands in the list
+        def run_point(alpha):
+            raise AssertionError("a point ran despite a negative coupling")
+
+        for alphas in ([-1.0], [1.0, 0.5, -0.5]):
+            with pytest.raises(PreconditionError):
+                ltsums.coupling_sweep(run_point, alphas)
 
 
 @pytest.fixture(scope="module")
