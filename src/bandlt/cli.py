@@ -266,7 +266,7 @@ def build_background(cfg: Cfg) -> Background:
         length = grid.number("length", required=True)
     else:
         length = grid.number("periods", required=True) * v0.period
-    n = grid.integer("points", required=True, hi=operators.DENSE_SOLVER_CAP)
+    n = grid.integer("points", required=True, hi=operators.SOLVER_CAP)
     boundary = grid.string("boundary", default="dirichlet",
                            choices=("dirichlet", "periodic"))
     h, x = operators.grid_nodes(length, n, boundary)
@@ -337,16 +337,14 @@ def lt_report_csv(report: ltsums.LTReport) -> tuple[list[str], list[list]]:
     return header, [row]
 
 
-def emit_svg_scatter(report: operators.SpectrumReport, I: bandset.BandSet,
-                     path: Path) -> None:
+def emit_svg_scatter(report: operators.SpectrumReport, path: Path) -> None:
     """Static scatter: bands on the real axis, the delta tube, eigenvalues,
     discrete candidates highlighted, flagged artifacts crossed.
 
     Output depends only on the report content, so identical inputs give
     identical bytes.
     """
-    eigs = report.eigenvalues
-    delta = report.delta
+    eigs, delta, I = report.eigenvalues, report.delta, report.band_set
     xs = [a for a, _ in I.edges] + [b for _, b in I.edges]
     if I.terminal_ray:
         xs.append(I.ray_start * 1.1 + 1.0)
@@ -384,17 +382,15 @@ def emit_svg_scatter(report: operators.SpectrumReport, I: bandset.BandSet,
             f'<line x1="{px(a):.2f}" y1="{py(0):.2f}" x2="{px(b):.2f}" '
             f'y2="{py(0):.2f}" stroke="#1f4e8c" stroke-width="4"/>'
         )
-    flagged = set(map(complex, report.boundary_artifacts))
-    candidates = set(map(complex, report.discrete_candidates))
-    for z in map(complex, eigs):
+    for z, discrete, artifact in zip(eigs, report.discrete, report.artifact):
         cx, cy = px(z.real), py(z.imag)
-        if z in flagged:
+        if artifact:
             parts.append(
                 f'<path d="M {cx - 4:.2f} {cy - 4:.2f} L {cx + 4:.2f} {cy + 4:.2f} '
                 f'M {cx - 4:.2f} {cy + 4:.2f} L {cx + 4:.2f} {cy - 4:.2f}" '
                 f'stroke="#999999" stroke-width="1.5"/>'
             )
-        elif z in candidates:
+        elif discrete:
             parts.append(
                 f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="5" fill="#c03020" '
                 f'stroke="#701000" stroke-width="1"/>'
@@ -476,18 +472,12 @@ def cmd_spectrum(cfg: Cfg, seed, outputs) -> dict:
     if "json" in outputs:
         write_json(outputs["json"], _wrap("spectrum", seed, doc))
     if "csv" in outputs:
-        d = bandset.dist_to_bands(report.eigenvalues, bg.band_set,
-                                  treat_as_complete=True)
-        cands = set(map(complex, report.discrete_candidates))
-        arts = set(map(complex, report.boundary_artifacts))
-        rows = [
-            [float(z.real), float(z.imag), float(di),
-             int(complex(z) in cands), int(complex(z) in arts)]
-            for z, di in zip(report.eigenvalues, d)
-        ]
+        rows = [[float(z.real), float(z.imag), float(d), int(disc), int(art)]
+                for z, d, disc, art in zip(report.eigenvalues, report.dist,
+                                           report.discrete, report.artifact)]
         write_csv(outputs["csv"], ["re", "im", "dist", "discrete", "artifact"], rows)
     if "svg" in outputs:
-        emit_svg_scatter(report, bg.band_set, outputs["svg"])
+        emit_svg_scatter(report, outputs["svg"])
     return doc
 
 
@@ -527,7 +517,7 @@ def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
         raise ConfigError("'hansmann.p' must exceed 1")
     rng = np.random.default_rng(seed)
     report = ltsums.hansmann_ensemble(
-        n=h.integer("n", default=50, lo=2, hi=operators.DENSE_SOLVER_CAP),
+        n=h.integer("n", default=50, lo=2, hi=operators.SOLVER_CAP),
         trials=h.integer("trials", default=100, lo=1, hi=_MAX_TRIALS),
         p=p,
         perturbation_scale=h.number("scale", default=0.5),

@@ -272,7 +272,9 @@ def _sweep(V0, e_max, steps):
 
     A swept E in a gap with count n lies in gap n when sign D = (-1)^n
     and in gap n + 1 otherwise (gap 0 lies below the spectrum), because
-    nu_n < E <= nu_(n+1) and D has sign (-1)^k in gap k.  The first sweep
+    nu_n < E <= nu_(n+1) and D has sign (-1)^k in gap k.  V0 >= 0 puts
+    every E < 0 in gap 0, so it gets +1 whatever rounding makes of D
+    (at tiny periods D - 2 ~ |E| T^2 drowns in it).  The first sweep
     is E = -1 and e_max, so K = N(e_max) gaps hold a nu_k below e_max.
     Each later sweep bisects every pair of neighbouring energies that
     (a) holds nu_k of a gap k <= K that no energy lies in yet and is
@@ -285,7 +287,7 @@ def _sweep(V0, e_max, steps):
     """
     e = np.array([-1.0, float(e_max)])
     m, n = _monodromy_batch(V0, e, steps)
-    side = _gap_side(m)
+    side = np.where(e < 0.0, 1.0, _gap_side(m))
     K = int(n[-1])
     seen = np.zeros(K + 2, dtype=bool)
     while True:
@@ -303,7 +305,7 @@ def _sweep(V0, e_max, steps):
         mid = 0.5 * (lo + hi)[work]
         m, n_mid = _monodromy_batch(V0, mid, steps)
         e = np.insert(e, at, mid)
-        side = np.insert(side, at, _gap_side(m))
+        side = np.insert(side, at, np.where(mid < 0.0, 1.0, _gap_side(m)))
         n = np.insert(n, at, n_mid)
 
 
@@ -323,10 +325,8 @@ def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dic
 
     inside = side == 0.0
     flips = np.flatnonzero(inside[:-1] != inside[1:])
-    # rounding can put E = -1 in a band at tiny periods: the band starts
-    # there, and validate refuses it
-    cuts = np.concatenate([swept[:1][inside[:1]], 0.5 * (swept[flips] + swept[flips + 1]),
-                           swept[-1:][inside[-1:]]])
+    # E = -1 lies in gap 0, so the first flip starts the first band
+    cuts = np.concatenate([0.5 * (swept[flips] + swept[flips + 1]), swept[-1:][inside[-1:]]])
     bands = [(a, b) for a, b in cuts.reshape(-1, 2)]
     if not bands:
         raise NumericalError(f"no band found below e_max={e_max}")

@@ -108,8 +108,8 @@ def lt_sum_t1(report: SpectrumReport, omega: float, omega1: float,
               nb: NormBundle) -> LTReport:
     """Shifted-kernel sum against the (w1-w), |w| right-side structure."""
     _require_p2(nb)
-    if not (omega < omega1 and omega < 0):
-        raise PreconditionError("need omega < omega_1 and omega < 0")
+    if not (-math.inf < omega < omega1 and omega < 0):
+        raise PreconditionError("need a finite omega < omega_1 and omega < 0")
     zs, d = _distances(report)
     I = report.band_set
     lhs = _dist_sum(d, nb.p, (np.abs(zs - omega) + abs(omega)) ** (2 * nb.p))
@@ -126,8 +126,8 @@ def lt_sum_t1_simplified(report: SpectrumReport, omega: float, omega1: float,
                          nb: NormBundle) -> LTReport:
     """Unit-window kernel variant, valid once omega < omega_1 - 1."""
     _require_p2(nb)
-    if not omega < omega1 - 1.0:
-        raise PreconditionError("need omega < omega_1 - 1")
+    if not -math.inf < omega < omega1 - 1.0:
+        raise PreconditionError("need a finite omega < omega_1 - 1")
     zs, d = _distances(report)
     lhs = _dist_sum(d, nb.p, (1.0 + np.abs(zs)) ** (2 * nb.p))
     rhs = abs(omega) ** (nb.p + 0.5) * (1.0 + nb.v0_inf) ** nb.p * _vp_power(nb)
@@ -392,9 +392,9 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
     omega1 = operators.numerical_range_abscissa(op_h)
     if omega is None:
         omega = default_omega(omega1)
-    if not (omega < omega1 and omega <= 0.0 and omega < I.a1):
+    if not (-math.inf < omega < omega1 and omega <= 0.0 and omega < I.a1):
         raise PreconditionError(
-            f"omega={omega} must sit below omega_1, below a_1, and be <= 0"
+            f"omega={omega} must be finite, sit below omega_1, below a_1, and be <= 0"
         )
     mob = moebius.MoebiusMap(omega)
 

@@ -19,7 +19,7 @@ iteration that flags finite-box edge states by eigenvector mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 
-DENSE_SOLVER_CAP = 4000
+SOLVER_CAP = 4000
 BOUNDARY_MARGIN = 5
 BOUNDARY_MASS_THRESHOLD = 0.5
 _INVERSE_ITERATIONS = 3
@@ -242,8 +242,8 @@ def eigenvalues(op: DiscretizedOperator) -> np.ndarray:
     if op._eigenvalues is not None:
         return op._eigenvalues
     n, m = op.size, op.matrix
-    if n > DENSE_SOLVER_CAP:
-        raise PreconditionError(f"N={n} exceeds the solver cap {DENSE_SOLVER_CAP}")
+    if n > SOLVER_CAP:
+        raise PreconditionError(f"N={n} exceeds the solver cap {SOLVER_CAP}")
     a, u, corner = m.diagonal().astype(complex), m.diagonal(1), 0.0
     if op.boundary == "periodic":
         # fold the ring from its most non-Hermitian node: every leading
@@ -311,21 +311,28 @@ def resolvent(op: DiscretizedOperator, z: complex, cols) -> np.ndarray:
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues split into essential-spectrum approximants and
-    discrete-spectrum candidates (distance to the band set > delta)."""
+    """Eigenvalues and, aligned with them, ``dist`` to the band set read as
+    literal data (no validity cap), the mask ``discrete`` of candidates
+    (dist > delta) and the mask ``artifact`` of flagged wall states."""
 
     eigenvalues: np.ndarray
-    discrete_candidates: np.ndarray
-    boundary_artifacts: np.ndarray
+    dist: np.ndarray
+    discrete: np.ndarray
+    artifact: np.ndarray
     delta: float
     band_set: BandSet
 
+    @property
+    def discrete_candidates(self) -> np.ndarray:
+        return self.eigenvalues[self.discrete]
+
+    @property
+    def boundary_artifacts(self) -> np.ndarray:
+        return self.eigenvalues[self.artifact]
+
     def contributing(self) -> np.ndarray:
         """Discrete candidates minus flagged finite-box artifacts."""
-        if self.boundary_artifacts.size == 0:
-            return self.discrete_candidates
-        mask = ~np.isin(self.discrete_candidates, self.boundary_artifacts)
-        return self.discrete_candidates[mask]
+        return self.eigenvalues[self.discrete & ~self.artifact]
 
 
 def default_delta(spacing: float, band_set: BandSet) -> float:
@@ -345,13 +352,9 @@ def classify_discrete(eigs, band_set: BandSet, delta: float) -> SpectrumReport:
         raise PreconditionError("delta must be positive")
     eigs = np.asarray(eigs, dtype=complex)
     d = dist_to_bands(eigs, band_set, treat_as_complete=True)
-    return SpectrumReport(
-        eigenvalues=eigs,
-        discrete_candidates=eigs[d > delta],
-        boundary_artifacts=np.empty(0, dtype=complex),
-        delta=float(delta),
-        band_set=band_set,
-    )
+    return SpectrumReport(eigenvalues=eigs, dist=d, discrete=d > delta,
+                          artifact=np.zeros(eigs.size, dtype=bool),
+                          delta=float(delta), band_set=band_set)
 
 
 def _inverse_iteration_vector(op: DiscretizedOperator, z: complex) -> np.ndarray:
@@ -387,24 +390,17 @@ def flag_boundary_artifacts(op: DiscretizedOperator,
     """Mark discrete candidates whose eigenvector mass hugs the box ends.
 
     Finite Dirichlet boxes create spurious gap eigenvalues localized at
-    the walls; anything with more than half its mass within
+    the walls; a candidate with more than half its mass within
     ``BOUNDARY_MARGIN`` grid points of either end is excluded from
-    downstream sums.
+    downstream sums.  Returns the report with its ``artifact`` mask set.
     """
-    flagged = []
-    for z in report.discrete_candidates:
-        vec = _inverse_iteration_vector(op, complex(z))
+    artifact = np.zeros(report.eigenvalues.size, dtype=bool)
+    for i in np.flatnonzero(report.discrete):
+        vec = _inverse_iteration_vector(op, complex(report.eigenvalues[i]))
         mass = np.abs(vec) ** 2
         edge = float(mass[:BOUNDARY_MARGIN].sum() + mass[-BOUNDARY_MARGIN:].sum())
-        if edge > BOUNDARY_MASS_THRESHOLD * float(mass.sum()):
-            flagged.append(z)
-    return SpectrumReport(
-        eigenvalues=report.eigenvalues,
-        discrete_candidates=report.discrete_candidates,
-        boundary_artifacts=np.asarray(flagged, dtype=complex),
-        delta=report.delta,
-        band_set=report.band_set,
-    )
+        artifact[i] = edge > BOUNDARY_MASS_THRESHOLD * float(mass.sum())
+    return replace(report, artifact=artifact)
 
 
 def spectrum_report(op: DiscretizedOperator, band_set: BandSet,
@@ -417,7 +413,7 @@ def spectrum_report(op: DiscretizedOperator, band_set: BandSet,
     if delta is None:
         delta = default_delta(op.spacing, band_set)
     report = classify_discrete(eigenvalues(op), band_set, delta)
-    if op.boundary == "dirichlet" and report.discrete_candidates.size:
+    if op.boundary == "dirichlet" and report.discrete.any():
         report = flag_boundary_artifacts(op, report)
     return report
 

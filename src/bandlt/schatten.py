@@ -97,10 +97,10 @@ def norm_bundle(p: float, v_samples, spacing: float, v0_inf: float) -> NormBundl
 
 
 def bound_w(z: complex, nb: NormBundle, a1: float) -> float:
-    """Right side of the W(z) Schatten bound; requires Re z < 0."""
+    """Right side of the W(z) Schatten bound; requires a finite z, Re z < 0."""
     z = complex(z)
-    if not z.real < 0:
-        raise PreconditionError("bound is stated for Re z < 0 only")
+    if not (abs(z) < math.inf and z.real < 0):
+        raise PreconditionError("bound is stated for finite z with Re z < 0 only")
     return (
         nb.c1 * nb.v_p * abs(z) ** (-(1.0 - 0.5 / nb.p))
         * (1.0 + nb.v0_inf / abs(a1 - z))
@@ -114,12 +114,13 @@ def resolvent_diff_bound(omega: float, omega1: float, nb: NormBundle,
     bound_w(omega)^p (omega_1 - omega)^(-p).
 
     C2(p) is taken as C1(p)^p, exactly how the composition raises the W
-    bound to the p-th power.  Requires omega < omega_1 and omega < 0 (the
-    W bound needs a negative shift; the matrix-model omega_1 may be
-    slightly positive, unlike the continuum normalization omega_1 <= 0).
+    bound to the p-th power.  Requires a finite omega < omega_1 and
+    omega < 0 (the W bound needs a negative shift; the matrix-model
+    omega_1 may be slightly positive, unlike the continuum normalization
+    omega_1 <= 0).
     """
-    if not (omega < omega1 and omega < 0):
-        raise PreconditionError("need omega < omega_1 and omega < 0")
+    if not (-math.inf < omega < omega1 and omega < 0):
+        raise PreconditionError("need a finite omega < omega_1 and omega < 0")
     return bound_w(omega, nb, a1) ** nb.p * (omega1 - omega) ** (-nb.p)
 
 

@@ -78,7 +78,7 @@ class TestConfigHandling:
 
         monkeypatch.setattr(operators, "discretize", refuse)
         doc = spectrum_config(bands_file)
-        doc["grid"]["points"] = operators.DENSE_SOLVER_CAP + 1
+        doc["grid"]["points"] = operators.SOLVER_CAP + 1
         status, result = cli.run(doc, command="spectrum", out_dir=str(tmp_path))
         assert status == EXIT_CONFIG
         assert "grid.points" in result["error"]
@@ -91,7 +91,7 @@ class TestConfigHandling:
         ("hansmann", "trials", 0),
         ("hansmann", "trials", 10**4 + 1),
         ("hansmann", "n", 1),
-        ("hansmann", "n", operators.DENSE_SOLVER_CAP + 1),
+        ("hansmann", "n", operators.SOLVER_CAP + 1),
     ], ids=["samples-negative", "samples-zero", "samples-over-cap", "trials-negative",
             "trials-zero", "trials-over-cap", "n-one", "n-over-cap"])
     def test_count_out_of_range_refused_before_work(self, monkeypatch, bands_file,
@@ -306,6 +306,12 @@ class TestBandsCommand:
         on_disk = json.loads((tmp_path / "bands.json").read_text())
         assert bandset.from_json(on_disk).num_bands == 1
 
+    def test_free_potential_tiny_period(self):
+        doc = {"v0": {"type": "free", "period": 1e-6}, "bands": {"e_max": 10.0}}
+        status, result = cli.run(doc, command="bands")
+        assert status == 0, result
+        assert result["bands"] == [[0.0, 10.0]]
+
 
 class TestDistortCommand:
     def test_verification_report(self, tmp_path):
@@ -398,6 +404,45 @@ class TestSpectrumCommand:
         assert len(rows) == 300
         assert {"re", "im", "dist", "discrete", "artifact"} <= set(rows[0])
 
+    @pytest.mark.parametrize("v, candidates, flagged", [
+        ({"type": "step", "center": 0.25, "halfwidth": 0.3, "amplitude": [-20, 5]},
+         [-3.4002 + 3.4838j], 1),
+        ({"type": "bump", "center": 25.0, "halfwidth": 3.0, "amplitude": [-3, 2]},
+         3, 0),
+    ], ids=["wall-step", "bump"])
+    def test_csv_and_svg_classes_match_json(self, tmp_path, v, candidates, flagged):
+        # the README spectrum grid and Hill band set, with a perturbation at
+        # the wall (its one candidate is a flagged wall state) or inside
+        doc = {
+            "v0": {"type": "cos", "q": 1.0, "period": 2 * math.pi},
+            "v": v,
+            "grid": {"periods": 8, "points": 500, "boundary": "dirichlet"},
+            "bands": {"e_max": 10.0, "close_with_ray": True},
+            "exponents": {"p": 2.0},
+            "delta": "auto",
+            "output": {"json": "s.json", "csv": "s.csv", "svg": "s.svg"},
+        }
+        status, result = cli.run(doc, command="spectrum", out_dir=str(tmp_path))
+        assert status == 0, result
+        found = [complex(*z) for z in result["discrete"]]
+        if isinstance(candidates, int):
+            assert len(found) == candidates
+        else:
+            assert found == pytest.approx(candidates, abs=1e-4)
+        assert len(result["boundary_artifacts"]) == flagged
+        with (tmp_path / "s.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 500
+
+        def marked(column):
+            return [[float(r["re"]), float(r["im"])] for r in rows if r[column] == "1"]
+
+        assert marked("discrete") == result["discrete"]
+        assert marked("artifact") == result["boundary_artifacts"]
+        svg = (tmp_path / "s.svg").read_text()
+        assert svg.count("<path") == flagged
+        assert svg.count('r="5"') == len(result["discrete"]) - flagged
+
     def test_svg_deterministic_and_markers(self, tmp_path, bands_file):
         doc = spectrum_config(bands_file)
         cli.run(doc, command="spectrum", out_dir=str(tmp_path))
@@ -410,14 +455,9 @@ class TestSpectrumCommand:
 
     def test_svg_with_empty_spectrum(self, tmp_path):
         I = bandset.validate([(0, 1), (2, 3)])
-        report = operators.SpectrumReport(
-            eigenvalues=np.empty(0, dtype=complex),
-            discrete_candidates=np.empty(0, dtype=complex),
-            boundary_artifacts=np.empty(0, dtype=complex),
-            delta=0.05, band_set=I,
-        )
+        report = operators.classify_discrete([], I, delta=0.05)
         path = tmp_path / "empty.svg"
-        cli.emit_svg_scatter(report, I, path)
+        cli.emit_svg_scatter(report, path)
         body = path.read_text()
         assert "<circle" not in body
         assert body.count('stroke="#1f4e8c"') == 2

@@ -288,14 +288,18 @@ class TestBandEdges:
         assert I.validity_cap == 50.0
 
     @pytest.mark.parametrize("period, e_max", [(0.01, 1.2e6), (2 * math.pi, 253.3),
-                                               (1.0, 900.0)],
-                             ids=["period-0.01", "period-2pi", "period-1"])
+                                               (1.0, 900.0), (1e-3, 10.0), (1e-6, 10.0),
+                                               (1e-9, 10.0)],
+                             ids=["period-0.01", "period-2pi", "period-1", "period-1e-3",
+                                  "period-1e-6", "period-1e-9"])
     def test_free_closed_gaps_stay_closed(self, sweeps, period, e_max):
         # the count bisection probes every closed gap at nu_k, where
         # rounding lifts |D| above 2 on a window up to 8.7e-3 wide (period
-        # 0.01 at nu_1); none of it may open a gap or a merged one
+        # 0.01 at nu_1); none of it may open a gap or a merged one.  Below
+        # 0, D - 2 ~ |E| T^2 drowns in the rounding of D at tiny periods;
+        # no band may start there
         I, meta = hill.band_edges_report(hill.free(period), e_max)
-        assert I.num_bands == 1
+        assert I.edges == ((0.0, e_max),) and meta["truncated_at_e_max"]
         assert meta["edges_found"] == 1
         assert meta["merged_gaps"] == [] and meta["dropped_slivers"] == []
         assert len(sweeps) <= _sweep_bound(e_max)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,13 +50,7 @@ class TestT1:
     def test_boundary_artifacts_excluded(self):
         I = bandset.validate([(0, 1)])
         rep = report_for([1.0 + 1.0j, 3.0 + 2.0j], I, delta=0.5)
-        rep = operators.SpectrumReport(
-            eigenvalues=rep.eigenvalues,
-            discrete_candidates=rep.discrete_candidates,
-            boundary_artifacts=np.array([3.0 + 2.0j]),
-            delta=rep.delta,
-            band_set=I,
-        )
+        rep = dataclasses.replace(rep, artifact=np.array([False, True]))
         out = ltsums.lt_sum_t1(rep, omega=-1.0, omega1=0.0, nb=bundle())
         assert out.eigenvalue_count == 1
         assert out.parameters["excluded_boundary_artifacts"] == 1
@@ -291,6 +286,29 @@ class TestTheorem1Chain:
         h0, h, report, nb = small_model
         with pytest.raises(PreconditionError):
             ltsums.theorem1_chain(h0, h, report, nb, omega=0.5)
+
+
+NON_FINITE_OMEGA_CALLS = {
+    "theorem1_chain": lambda m, w: ltsums.theorem1_chain(*m, omega=w),
+    "lt_sum_t1": lambda m, w: ltsums.lt_sum_t1(m[2], w, 0.0, m[3]),
+    "lt_sum_t1_simplified": lambda m, w: ltsums.lt_sum_t1_simplified(m[2], w, 0.0, m[3]),
+    "resolvent_diff_bound": lambda m, w: schatten.resolvent_diff_bound(
+        w, 0.0, m[3], m[2].band_set.a1),
+    "bound_w": lambda m, w: schatten.bound_w(w, m[3], m[2].band_set.a1),
+}
+
+
+@pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", NON_FINITE_OMEGA_CALLS)
+def test_non_finite_omega_refused_before_work(small_model, monkeypatch, name, omega):
+    # omega = -inf passes every omega < ... comparison, NaN fails them all
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done for a non-finite omega")
+
+    monkeypatch.setattr(operators, "resolvent", refuse)
+    monkeypatch.setattr(ltsums, "_distances", refuse)
+    with pytest.raises(PreconditionError, match="finite"):
+        NON_FINITE_OMEGA_CALLS[name](small_model, omega)
 
 
 def dense_schatten(m, p):

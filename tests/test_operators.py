@@ -90,7 +90,7 @@ class TestEigenvalues:
         assert operators.eigenvalues(op) is operators.eigenvalues(op)
 
     def test_dense_cap(self, monkeypatch):
-        monkeypatch.setattr(operators, "DENSE_SOLVER_CAP", 10)
+        monkeypatch.setattr(operators, "SOLVER_CAP", 10)
         op = operators.discretize(0.0, 0.0, length=10.0, n=12)
         with pytest.raises(PreconditionError, match="cap"):
             operators.eigenvalues(op)
