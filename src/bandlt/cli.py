@@ -15,7 +15,8 @@ Configs are YAML files (``--config -`` reads JSON from stdin).  A fixed
 config and seed reproduce every numeric output byte for byte: no
 timestamps are embedded, floats are serialized via repr, and random
 draws use numpy's seeded PCG64 generator whose identity is recorded in
-the output metadata.
+the output metadata; ``distort`` and ``hansmann`` draw from seed 0 when
+neither ``--seed`` nor a ``seed`` key is given, and record it.
 
 Exit codes: 0 success, 2 config/precondition error, 3 hypothesis
 violation, 4 numerical failure.
@@ -41,6 +42,7 @@ COMMANDS = ("bands", "distort", "spectrum", "ltcheck", "hansmann", "sweep")
 THEOREMS = ("T1", "T1simplified", "T2", "T3")
 _MAX_SAMPLES = 10**7  # distort.samples; the sampler may draw 2000 per sample
 _MAX_TRIALS = 10**4  # hansmann.trials; each trial is a dense n x n eigensolve
+_DEFAULT_SEED = 0  # distort and hansmann draw from it when no seed is given
 # the keys each section may hold, whatever the command ("" is the top level)
 _KNOWN_KEYS = {section: set(keys.split()) for section, keys in {
     "": "command seed v0 v grid bands exponents delta omega theorem a_values "
@@ -442,6 +444,7 @@ def cmd_bands(cfg: Cfg, seed, outputs) -> dict:
 def cmd_distort(cfg: Cfg, seed, outputs) -> dict:
     d = cfg.sub("distort")
     I, _ = _band_set(cfg)
+    seed = _DEFAULT_SEED if seed is None else seed
     rng = np.random.default_rng(seed)
     report = moebius.verify_distortion(
         I,
@@ -515,6 +518,7 @@ def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
     p = h.number("p", default=2.0)
     if not p > 1:
         raise ConfigError("'hansmann.p' must exceed 1")
+    seed = _DEFAULT_SEED if seed is None else seed
     rng = np.random.default_rng(seed)
     report = ltsums.hansmann_ensemble(
         n=h.integer("n", default=50, lo=2, hi=operators.SOLVER_CAP),

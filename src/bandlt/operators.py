@@ -11,7 +11,10 @@ No dense eigensolver runs.  The tridiagonal (box) or banded (ring)
 spectrum of the Hermitian part is the spectrum of a real model, its
 minimum is the numerical-range abscissa omega_1, and it seeds the
 Ehrlich-Aberth iteration on det(A - z) for complex V, whose roots are
-certified or refused with NumericalError (exit 4).  Eigenvalues are
+certified or refused with NumericalError (exit 4).  Each sweep takes
+p/p' from A - z folded into node pairs: 2x2 block-LU steps at the two
+end blocks, and between them the transfer products of two scalar chains
+in about sqrt(N) runs, all runs advanced together.  Eigenvalues are
 cached, then classified against a band set by a distance threshold.
 One sparse LU of A - z serves resolvent columns and the inverse
 iteration that flags finite-box edge states by eigenvector mass.
@@ -19,6 +22,7 @@ iteration that flags finite-box edge states by eigenvector mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,41 +158,147 @@ def _hermitian_spectrum(op: DiscretizedOperator) -> np.ndarray:
 
 
 def _newton_ratio(a, u, corner, z: np.ndarray) -> np.ndarray:
-    """p/p' of p(z) = det(A - z) at every z, in one O(N) sweep.
+    """p/p' of p(z) = det(A - z) at every z: O(N) work per root and about
+    sqrt(3 N) Python steps per chunk of roots.
 
-    A is complex symmetric (diagonal ``a``, couplings ``u`` = A[k, k+1],
-    ``corner`` = A[N-1, 0] or 0).  Folded into node pairs (j + N mod 2,
-    N-1-j), after node 0 alone for odd N, it is block tridiagonal: the
-    sweep is the block LU of A - z with 2x2 Schur complements S, their
-    z-derivatives T and g = sum tr(S^-1 T) = p'/p.  A degenerate ring
-    pair drops one block's rank by 2, so p/p' stays accurate near it.
+    A is complex symmetric (diagonal ``a``, nonzero couplings ``u`` =
+    A[k, k+1], ``corner`` = A[N-1, 0] or 0).  Folded into node pairs
+    (j + N mod 2, N-1-j), after node 0 alone for odd N, it is block
+    tridiagonal, and the block LU carries X = S^-1 of the Schur complement
+    S of each 2x2 block, X' = dX/dz and g = p'/p.  Block 0 (the ring
+    corner, fed by node 0 for odd N) and the last block take that step.
+    Every block between them has a diagonal D - z and a diagonal coupling
+    K, so X -> (D - z - K X K)^-1 acts on two independent scalar chains,
+    lo and hi, through products of determinant-one transfers
+    [[0, 1/k], [-k, (d - z)/k]] (:func:`_transfer_tables`).  These run in
+    about sqrt(N/12) runs of about sqrt(3 N) steps, all runs side by side;
+    each run maps X to P Q^-1 with (P; Q) = (A X + B; C X + D) and adds
+    d log det Q to g, so X is renormalised after every run and stays
+    consistent with det Q near its poles.  A degenerate ring pair drops
+    the last block's rank by 2, so p/p' stays accurate near it.  Roots go
+    in chunks that keep the run arrays within _PAIR_ROWS x N / 4 complex.
     """
     n, odd, nb = a.size, a.size % 2, a.size // 2
     lo, hi = np.arange(nb) + odd, n - 1 - np.arange(nb)
-    w = np.zeros(nb, dtype=complex)
-    w[0], w[-1] = 0.0 if odd else corner, u[lo[-1]]
-    k1 = np.concatenate(([u[0] if odd else 0.0], u[lo[1:] - 1]))
-    k2 = np.concatenate(([corner if odd else 0.0], u[hi[1:]]))
-    # the block before the first: node 0 alone (x = S^-1, y = x T x) or none
-    x11 = x22 = x12 = 1.0 / (a[0] - z) if odd else np.zeros_like(z)
-    y11 = y22 = y12 = -x11 * x11
-    g = -x11
-    for j in range(nb):
-        s11 = a[lo[j]] - z - k1[j] ** 2 * x11
-        s22 = a[hi[j]] - z - k2[j] ** 2 * x22
-        s12 = w[j] - k1[j] * k2[j] * x12
-        t11, t22 = k1[j] ** 2 * y11 - 1.0, k2[j] ** 2 * y22 - 1.0
-        t12 = k1[j] * k2[j] * y12
-        if j == nb - 1:
-            break
-        det = s11 * s22 - s12 * s12
-        x11, x22, x12 = s22 / det, s11 / det, -s12 / det
-        m11, m12 = x11 * t11 + x12 * t12, x11 * t12 + x12 * t22
-        m21, m22 = x12 * t11 + x22 * t12, x12 * t12 + x22 * t22
-        g = g + m11 + m22
-        y11, y22, y12 = m11 * x11 + m12 * x12, m21 * x12 + m22 * x22, m11 * x12 + m12 * x22
-    det = s11 * s22 - s12 * s12
-    return det / (det * g + s22 * t11 + s11 * t22 - 2.0 * s12 * t12)
+    # rows lo and hi: each block's diagonal and its coupling to the block before
+    d = np.stack([a[lo], a[hi]])
+    k = np.stack([np.concatenate(([u[0] if odd else 0.0], u[lo[1:] - 1])),
+                  np.concatenate(([corner if odd else 0.0], u[hi[1:]]))])
+    if not np.any(np.imag(k)):
+        k = np.real(k)  # complex division would round k/k = 1
+    runs = _transfer_tables(d[:, 1:-1], k[:, 1:-1]) if nb > 1 else None
+    w = (u[lo[-1]] if nb == 1 else 0.0 if odd else corner, u[lo[-1]])
+    rows = max(1, _PAIR_ROWS * n // (64 * (runs[0].shape[1] if runs else 1)))
+    out = np.empty(z.shape, dtype=complex)
+    for c in range(0, z.size, rows):
+        out[c:c + rows] = _newton_chunk(a[0] if odd else None, d, k, w, runs,
+                                        z[c:c + rows])
+    return out
+
+
+def _transfer_tables(d, k):
+    """Step tables of both chains, for diagonals ``d`` and incoming
+    couplings ``k`` of shape (2, L).
+
+    A chain runs on v = (q_prev, q) with q_j = c_j det(first j nodes - z),
+    c_j = c_{j-2} / k_j^2 (c_0 = 1, c_1 = 1/k_1): a step maps v to
+    (q, rho_j (d_j - z) q - q_prev), rho_j = c_j/c_{j-1}.  At node j the
+    rows of P and Q are v / (b_{j-1} k_j, b_j), b_j = c_j k_1 ... k_j, so
+    the runs carry X_v = diag(k_1) X at the start.  The L steps go in B
+    runs of m = ceil(sqrt(6 L)), the first padded in front by rotations
+    v -> (q, -q_prev).  Returns the (2, B, m) tables rho d and rho, the
+    pad length, k_1, and the factors rho_L b_col / b_row that take X_v
+    back to X after the last node.
+    """
+    steps = d.shape[1]
+    m = math.isqrt(6 * steps - 1) + 1 if steps else 1
+    nblk = max(-(-steps // m), 1)
+    pad = nblk * m - steps
+    table = lambda x: np.pad(x, ((0, 0), (pad, 0))).reshape(2, nblk, m)
+    if not steps:
+        return table(d), table(d.real), pad, np.ones(2), np.ones((2, 2))
+    rho = np.ones(k.shape) / k[:, :1]
+    rho[:, 1:2] = k[:, :1] / k[:, 1:2] ** 2
+    sq = (k[:, :-1] / k[:, 1:]) ** 2
+    rho[:, 2::2] *= np.cumprod(sq[:, 1::2], axis=1)
+    rho[:, 3::2] = rho[:, 1:2] * np.cumprod(sq[:, 2::2], axis=1)
+    b = np.prod(rho * k, axis=1)
+    return (table(rho * d), table(rho), pad, k[:, 0],
+            rho[:, -1, None] * b / b[:, None])
+
+
+def _block_step(dz, w, k, x, dx):
+    """S = E - K X K and T = dS/dz = -I - K X' K of a 2x2 block with
+    diagonal ``dz`` = d - z and in-block coupling ``w``, coupled by ``k``
+    to the part eliminated before it, whose X and X' are (2, 2, root)."""
+    kk = (k[:, None] * k)[..., None]
+    s, t = -kk * x, -kk * dx
+    s[0, 1] += w
+    s[1, 0] += w
+    s[[0, 1], [0, 1]] += dz
+    t[[0, 1], [0, 1]] -= 1.0
+    return s, t
+
+
+def _newton_chunk(a0, d, k, w, runs, z):
+    """p/p' of :func:`_newton_ratio` for one chunk of roots ``z``."""
+    adj = lambda q: np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]])
+    mul = lambda p, q: (p[:, :, None] * q[None]).sum(axis=1)
+    # node 0 alone before block 0 (x = 1 / (a0 - z), x' = x^2) or none
+    x = 1.0 / (a0 - z) if a0 is not None else np.zeros_like(z)
+    g = -x
+    s, t = _block_step(d[:, 0, None] - z, w[0], k[:, 0], x, x * x)
+    if runs is not None:
+        det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+        xt = mul(adj(s), t) / det
+        g = g + xt[0, 0] + xt[1, 1]
+        k_1, back = runs[3][:, None, None], runs[4][..., None]
+        x, dx = k_1 * adj(s) / det, -k_1 * mul(xt, adj(s)) / det
+        for run in np.moveaxis(_run_transfers(runs, z), 4, 0):
+            # (P; Q) = (A X + B; C X + D) per chain row, and d/dz
+            pq = run[0, :, :, 0, None] * x
+            pq[:, [0, 1], [0, 1]] += run[0, :, :, 1]
+            dpq = run[1, :, :, 0, None] * x + run[0, :, :, 0, None] * dx
+            dpq[:, [0, 1], [0, 1]] += run[1, :, :, 1]
+            (p, q), (dp, dq) = pq, dpq
+            det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
+            inv = adj(q) / det
+            dlog = (inv * dq.swapaxes(0, 1)).sum(axis=(0, 1))
+            x = mul(p, inv)
+            dx = mul(dp - mul(x, dq), inv)
+            g = g + dlog
+        # X is symmetric only up to rounding: S and T keep both corners
+        s, t = _block_step(d[:, -1, None] - z, w[1], k[:, -1], back * x, back * dx)
+    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+    return det / (det * g + s[1, 1] * t[0, 0] + s[0, 0] * t[1, 1]
+                  - s[0, 1] * t[1, 0] - s[1, 0] * t[0, 1])
+
+
+def _run_transfers(runs, z):
+    """Transfer matrices of both chains over every run, on v, as rows
+    (P, Q) by columns (X, I): value and d/dz, (2, 2, chain, 2, run, root).
+
+    ``st`` holds per root the matrix of each chain in every run, all
+    advanced from the identity by one step per iteration (run 0 from
+    R^-pad, which its padded rotations R return to I).  Each run is then
+    scaled by one power of 2 for both chains, which leaves P Q^-1 as it is.
+    """
+    rd, r, front = runs[:3]
+    nblk, m = r.shape[1:]
+    st = np.zeros((2, 2, 2, 2, nblk, z.size), dtype=complex)  # d/dz, v, chain, column, run
+    st[0, 0, :, 0] = st[0, 1, :, 1] = 1.0
+    rot = np.linalg.matrix_power(np.array([[0.0, -1.0], [1.0, 0.0]]), front % 4)
+    st[0, :, :, :, 0] = rot[:, None, :, None]
+    tmp = np.empty_like(st[:, 0])
+    for j in range(m):
+        prev, cur = st[:, j % 2], st[:, 1 - j % 2]
+        e = rd[:, :, j, None] - r[:, :, j, None] * z
+        np.subtract(np.multiply(e[:, None], cur, out=tmp), prev, out=prev)
+        prev[1] -= np.multiply(r[:, None, :, j, None], cur[0], out=tmp[0])
+    if m % 2:
+        st = st[:, ::-1]
+    st *= np.ldexp(1.0, -np.frexp(abs(st[0]).max(axis=(0, 1, 2)))[1])
+    return st
 
 
 def _aberth(a, u, corner, herm: np.ndarray) -> np.ndarray:
@@ -237,7 +347,8 @@ def eigenvalues(op: DiscretizedOperator) -> np.ndarray:
 
     A = (its Hermitian part) + i c (a real A: c = 0) shifts the Hermitian
     spectrum, a diagonal A is its own spectrum, and any other A takes
-    the certified Aberth roots.
+    the certified Aberth roots; those need every coupling nonzero
+    (PreconditionError otherwise), as every discretized model has.
     """
     if op._eigenvalues is not None:
         return op._eigenvalues
@@ -255,6 +366,9 @@ def eigenvalues(op: DiscretizedOperator) -> np.ndarray:
     if np.all(a.imag == a.imag[0]):
         vals = _hermitian_spectrum(op) + 1j * a.imag[0]
     elif np.any(u) or corner:
+        if not np.all(u):
+            raise PreconditionError("the Aberth evaluator divides by every coupling; "
+                                    "a zero coupling splits the model")
         vals = _aberth(a, u, corner, _hermitian_spectrum(op))
     else:
         vals = a

@@ -226,13 +226,16 @@ class TestConfigHandling:
         status, result = cli.run(doc, command="bands")
         assert status == EXIT_HYPOTHESIS, result
 
+    @staticmethod
+    def readme_blocks():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        return {text.split()[1]: yaml.safe_load(text)
+                for text in re.findall(r"```yaml\n(.*?)```", readme, re.S)}
+
     def test_readme_configs_run(self, tmp_path, monkeypatch):
         # every YAML block of the README, run by the commands it names;
         # the ltcheck block adds to spectrum.yaml and serves sweep too
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        blocks = {}
-        for text in re.findall(r"```yaml\n(.*?)```", readme, re.S):
-            blocks[text.split()[1]] = yaml.safe_load(text)
+        blocks = self.readme_blocks()
         assert set(blocks) == {"bands.yaml", "spectrum.yaml", "ltcheck.yaml",
                                "distort.yaml", "hansmann.yaml"}
         model = {**blocks["spectrum.yaml"], **blocks["ltcheck.yaml"]}
@@ -244,6 +247,19 @@ class TestConfigHandling:
                              ("hansmann", blocks["hansmann.yaml"])]:
             status, result = cli.run(doc, command=command)
             assert status == 0, (command, result)
+
+    def test_readme_distort_repeats_without_seed(self, tmp_path, monkeypatch):
+        # distort.yaml names no seed: both runs draw from seed 0 and record it
+        blocks = self.readme_blocks()
+        assert "seed" not in blocks["distort.yaml"]
+        monkeypatch.chdir(tmp_path)
+        assert cli.run(blocks["bands.yaml"], command="bands")[0] == 0
+        reports = []
+        for _ in range(2):
+            assert cli.run(blocks["distort.yaml"], command="distort")[0] == 0
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["seed"] == 0
 
     def test_yaml_file_loading(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -505,6 +521,15 @@ class TestHansmannCommand:
         first = (tmp_path / "h.json").read_bytes()
         cli.run(doc, command="hansmann", out_dir=str(tmp_path))
         assert (tmp_path / "h.json").read_bytes() == first
+
+    def test_default_seed_is_recorded(self, tmp_path):
+        doc = {"hansmann": {"n": 10, "trials": 5, "p": 2.0, "scale": 0.5},
+               "output": {"json": "h.json"}}
+        cli.run(doc, command="hansmann", out_dir=str(tmp_path / "unseeded"))
+        cli.run(doc, command="hansmann", seed=0, out_dir=str(tmp_path / "seed0"))
+        unseeded = (tmp_path / "unseeded" / "h.json").read_bytes()
+        assert unseeded == (tmp_path / "seed0" / "h.json").read_bytes()
+        assert json.loads(unseeded)["seed"] == 0
 
     def test_seed_changes_draws(self, tmp_path):
         doc = {"hansmann": {"n": 10, "trials": 5, "p": 2.0, "scale": 0.5}}

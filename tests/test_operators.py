@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandlt import bandset, cli, operators
@@ -94,6 +94,12 @@ class TestEigenvalues:
         op = operators.discretize(0.0, 0.0, length=10.0, n=12)
         with pytest.raises(PreconditionError, match="cap"):
             operators.eigenvalues(op)
+
+    def test_zero_coupling_refused(self):
+        # the Aberth evaluator's transfer products divide by every coupling
+        m = np.diag([1.0 + 1j, 2.0, 3.0 + 0.5j, 4.0]) - np.diag([1.0, 0.0, 1.0], 1)
+        with pytest.raises(PreconditionError, match="zero coupling"):
+            operators.eigenvalues(make_op(m + np.triu(m, 1).T, "dirichlet"))
 
     def test_symmetric_real_spectrum(self):
         op = operators.discretize(np.linspace(0, 1, 50), 0.0, length=51.0, n=50)
@@ -212,6 +218,108 @@ class TestStructuredSpectra:
             tracemalloc.stop()
         assert vals.shape == (n,)
         assert peak < n * n * 16 / 4
+
+
+# The evaluator that operators._newton_ratio replaced, kept verbatim as its
+# oracle: one Python step of the folded 2x2 block LU per node pair.
+def fold_ratio(a, u, corner, z: np.ndarray) -> np.ndarray:
+    """p/p' of p(z) = det(A - z) at every z, in one O(N) sweep.
+
+    A is complex symmetric (diagonal ``a``, couplings ``u`` = A[k, k+1],
+    ``corner`` = A[N-1, 0] or 0).  Folded into node pairs (j + N mod 2,
+    N-1-j), after node 0 alone for odd N, it is block tridiagonal: the
+    sweep is the block LU of A - z with 2x2 Schur complements S, their
+    z-derivatives T and g = sum tr(S^-1 T) = p'/p.  A degenerate ring
+    pair drops one block's rank by 2, so p/p' stays accurate near it.
+    """
+    n, odd, nb = a.size, a.size % 2, a.size // 2
+    lo, hi = np.arange(nb) + odd, n - 1 - np.arange(nb)
+    w = np.zeros(nb, dtype=complex)
+    w[0], w[-1] = 0.0 if odd else corner, u[lo[-1]]
+    k1 = np.concatenate(([u[0] if odd else 0.0], u[lo[1:] - 1]))
+    k2 = np.concatenate(([corner if odd else 0.0], u[hi[1:]]))
+    # the block before the first: node 0 alone (x = S^-1, y = x T x) or none
+    x11 = x22 = x12 = 1.0 / (a[0] - z) if odd else np.zeros_like(z)
+    y11 = y22 = y12 = -x11 * x11
+    g = -x11
+    for j in range(nb):
+        s11 = a[lo[j]] - z - k1[j] ** 2 * x11
+        s22 = a[hi[j]] - z - k2[j] ** 2 * x22
+        s12 = w[j] - k1[j] * k2[j] * x12
+        t11, t22 = k1[j] ** 2 * y11 - 1.0, k2[j] ** 2 * y22 - 1.0
+        t12 = k1[j] * k2[j] * y12
+        if j == nb - 1:
+            break
+        det = s11 * s22 - s12 * s12
+        x11, x22, x12 = s22 / det, s11 / det, -s12 / det
+        m11, m12 = x11 * t11 + x12 * t12, x11 * t12 + x12 * t22
+        m21, m22 = x12 * t11 + x22 * t12, x12 * t12 + x22 * t22
+        g = g + m11 + m22
+        y11, y22, y12 = m11 * x11 + m12 * x12, m21 * x12 + m22 * x22, m11 * x12 + m12 * x22
+    det = s11 * s22 - s12 * s12
+    return det / (det * g + s22 * t11 + s11 * t22 - 2.0 * s12 * t12)
+
+
+def ratio_model(seed, n, boundary, imag):
+    """A model, its (a, u, corner) and points near and away from its
+    eigenvalues: offsets 1e-3, 1e-6 or 1e-9 times 1 + |lambda| from each
+    eigenvalue, and 20 points over the spectrum's real range."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.1, 3.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    v[rng.uniform(size=n) < rng.uniform()] = 0.0
+    if imag == "constant":
+        v = v.real + 0.5j
+    op = operators.discretize(rng.uniform(0.0, 2.0, n), v,
+                              rng.uniform(0.05, 0.5) * (n + 1), n, boundary)
+    m = op.matrix.toarray()
+    ev = np.linalg.eigvals(m)
+    near = ev + 10.0 ** -rng.choice([3, 6, 9], n) * (1 + abs(ev)) * np.exp(
+        2j * np.pi * rng.uniform(size=n))
+    away = rng.uniform(ev.real.min(), ev.real.max(), 20) + 1j * rng.uniform(-3, 3, 20)
+    return np.diag(m).copy(), np.diag(m, 1).copy(), m[n - 1, 0], np.concatenate([near, away])
+
+
+class TestNewtonRatio:
+    """The blocked transfer products of _newton_ratio against the fold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300),
+           boundary=st.sampled_from(["dirichlet", "periodic"]),
+           imag=st.sampled_from(["constant", "varying"]))
+    @example(seed=1, n=3, boundary="periodic", imag="varying")  # node 0 and one pair
+    @example(seed=2, n=5, boundary="periodic", imag="varying")  # no interior pair
+    @example(seed=3, n=52, boundary="periodic", imag="varying")  # 24 steps, 2 full runs
+    @example(seed=4, n=53, boundary="dirichlet", imag="constant")
+    @example(seed=5, n=41, boundary="periodic", imag="constant")  # 18 steps, first run padded
+    @example(seed=6, n=300, boundary="periodic", imag="varying")
+    def test_against_fold(self, seed, n, boundary, imag):
+        # near a root p/p' is the distance to it, so the bound is the dense
+        # oracle's 1e-10 on the root each implies.  The reference is the fold
+        # run in extended long double: in double the fold itself strays by up
+        # to 2e-9 (1 + |z|) on such models, which sets the bound where long
+        # double is no wider than double
+        a, u, corner, z = ratio_model(seed, n, boundary, imag)
+        got = operators._newton_ratio(a, u, corner, z)
+        ref = fold_ratio(*(x.astype(np.clongdouble) for x in (a, u, np.asarray(corner), z)))
+        tol = 1e-10 if np.finfo(np.longdouble).eps < 1e-18 else 1e-8
+        assert np.all(abs(got - ref) <= tol * (1.0 + abs(z)))
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_memory_at_desk_size(self, boundary):
+        # root chunks keep the blocked arrays for all N roots within the
+        # pair-sum buffer of _aberth, _PAIR_ROWS x N complex
+        n = 800
+        op = desk_model(n, boundary)
+        a, u = op.matrix.diagonal().astype(complex), op.matrix.diagonal(1)
+        z = operators._hermitian_spectrum(op) + 1e-3j
+        tracemalloc.start()
+        try:
+            ratio = operators._newton_ratio(a, u, op.matrix[n - 1, 0], z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(ratio))
+        assert peak < operators._PAIR_ROWS * n * 16
 
 
 class TestClassify:
