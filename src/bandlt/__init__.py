@@ -9,9 +9,13 @@ Submodules:
 * ``schatten``  -- Schatten/Lebesgue norms and resolvent-difference bounds
 * ``ltsums``    -- Lieb-Thirring type eigenvalue sums and ensemble checks
 * ``cli``       -- configuration-driven experiment runner (``band-lt``)
+
+Each submodule is imported on first access (``bandlt.hill`` or ``from
+bandlt import hill``), so a command that needs no operator never loads
+scipy.
 """
 
-from . import bandset, cli, errors, hill, ltsums, moebius, operators, schatten
+import importlib
 
 __all__ = [
     "bandset", "cli", "errors", "hill", "ltsums", "moebius", "operators",
@@ -19,3 +23,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,12 +31,19 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
-from . import bandset, hill, ltsums, moebius, operators, schatten
+# operators (and ltsums and schatten through it) loads scipy: only the
+# commands that build an operator import them, so bands and distort start
+# on numpy and yaml alone
+from . import bandset, hill, moebius
 from .errors import EXIT_NUMERICAL, BandLTError, ConfigError, exit_code_for
+
+if TYPE_CHECKING:  # the annotations' names
+    from . import ltsums, operators, schatten
 
 COMMANDS = ("bands", "distort", "spectrum", "ltcheck", "hansmann", "sweep")
 THEOREMS = ("T1", "T1simplified", "T2", "T3")
@@ -262,6 +269,7 @@ class Model:
 
 
 def build_background(cfg: Cfg) -> Background:
+    from . import operators
     v0 = _potential(cfg)
     grid = cfg.sub("grid")
     if grid.has("length"):
@@ -291,6 +299,7 @@ def build_background(cfg: Cfg) -> Background:
 
 
 def build_model(cfg: Cfg, bg: Background, coupling: float = 1.0) -> Model:
+    from . import operators, schatten
     v_samples = perturbation_samples(cfg.sub("v").doc, bg.x, coupling)
     op_h = operators.discretize(bg.v0_samples, v_samples, bg.length, bg.x.size,
                                 bg.boundary)
@@ -299,6 +308,7 @@ def build_model(cfg: Cfg, bg: Background, coupling: float = 1.0) -> Model:
 
 
 def resolve_omega(cfg: Cfg, omega1: float, theorem: str) -> float:
+    from . import ltsums
     omega = cfg.number_or_auto("omega")
     if omega is not None:
         return omega
@@ -427,7 +437,7 @@ def _wrap(command: str, seed: int | None, result: dict) -> dict:
     return {
         "command": command,
         "seed": seed,
-        "rng_family": ltsums.RNG_FAMILY,
+        "rng_family": moebius.RNG_FAMILY,
         "result": result,
     }
 
@@ -461,12 +471,14 @@ def cmd_distort(cfg: Cfg, seed, outputs) -> dict:
 
 
 def _spectrum_parts(cfg: Cfg, bg: Background, coupling: float = 1.0):
+    from . import operators
     model = build_model(cfg, bg, coupling)
     report = operators.spectrum_report(model.op_h, bg.band_set, bg.delta)
     return model, report
 
 
 def cmd_spectrum(cfg: Cfg, seed, outputs) -> dict:
+    from . import operators
     bg = build_background(cfg)
     model, report = _spectrum_parts(cfg, bg)
     doc = operators.report_to_json(model.op_h, report)
@@ -486,6 +498,7 @@ def cmd_spectrum(cfg: Cfg, seed, outputs) -> dict:
 
 def _lt_report(cfg: Cfg, bg: Background, theorem: str,
                coupling: float = 1.0) -> ltsums.LTReport:
+    from . import ltsums, operators
     a_values = cfg.numbers("a_values") if theorem == "T3" else None
     model, report = _spectrum_parts(cfg, bg, coupling)
     if theorem in ("T1", "T1simplified"):
@@ -514,6 +527,7 @@ def cmd_ltcheck(cfg: Cfg, seed, outputs) -> dict:
 
 
 def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
+    from . import ltsums, operators
     h = cfg.sub("hansmann")
     p = h.number("p", default=2.0)
     if not p > 1:
@@ -538,6 +552,7 @@ def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
 
 
 def cmd_sweep(cfg: Cfg, seed, outputs) -> dict:
+    from . import ltsums
     theorem = cfg.string("theorem", required=True, choices=THEOREMS)
     alphas = cfg.numbers("alphas", required=True)
     if not alphas:

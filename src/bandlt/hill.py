@@ -6,12 +6,14 @@ returns the Dirichlet count N(E), the number of zeros in (0, T) of the
 solution with y(0) = 0 and y'(0) = 1; by Sturm oscillation theory it is
 the number of Dirichlet eigenvalues nu_k below E, and nu_k lies in the
 k-th closed gap (Magnus and Winkler, *Hill's Equation*, 1966).
-``band_edges_report`` runs one bisection loop over neighbouring swept
-energies (``_sweep``): each sweep takes, in one batch, the midpoint of
-every pair that holds a Dirichlet eigenvalue of a gap no energy lies in
-yet, or whose gap verdicts differ.  The runs of in-band energies are the
-bands of a validated :class:`~bandlt.bandset.BandSet` that the rest of
-the toolkit consumes, with metadata on the resolution used.  A gap needs
+``band_edges_report`` runs one loop over neighbouring swept energies
+(``_sweep``): each sweep adds, in one batch, an energy inside every pair
+that holds a Dirichlet eigenvalue of a gap no energy lies in yet, or
+whose gap verdicts differ.  That energy is the midpoint, or an Illinois
+regula falsi step on |D| - 2 where the pair isolates one band edge.  The
+runs of in-band energies are the bands of a validated
+:class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes,
+with metadata on the resolution used.  A gap needs
 |D| > 2 confirmed by D^2 - 4 taken from the entries (``_gap_side``), so
 rounding at a closed gap opens none.
 
@@ -19,7 +21,7 @@ The monodromy is integrated with fixed-step classical Runge-Kutta, in
 blocks of steps that run side by side (see ``_monodromy_batch``).  The
 step count grows with the total phase sqrt(E)*T so that the Wronskian
 (det of the monodromy) stays within 1e-10 of 1 and the trace error stays
-below the edge-bisection tolerance; see ``default_steps``.
+below the edge tolerance; see ``default_steps``.
 """
 
 from __future__ import annotations
@@ -276,41 +278,77 @@ def _sweep(V0, e_max, steps):
     every E < 0 in gap 0, so it gets +1 whatever rounding makes of D
     (at tiny periods D - 2 ~ |E| T^2 drowns in it).  The first sweep
     is E = -1 and e_max, so K = N(e_max) gaps hold a nu_k below e_max.
-    Each later sweep bisects every pair of neighbouring energies that
-    (a) holds nu_k of a gap k <= K that no energy lies in yet and is
-    wider than 1e-10 (1 + |E|), or (b) has two different verdicts and is
-    wider than the edge tolerance and four float spacings.  A pair
-    narrower than gap k reaches into it; one that stops at width (a)
-    marks a closed gap.  A pair that needs no work never needs it again,
-    so each sweep halves every open pair: at most
-    1 + ceil(log2((e_max + 1) / 1e-10)) sweeps.
+    Each later sweep adds, in one batch, one energy inside every pair of
+    neighbouring energies that (a) holds nu_k of a gap k <= K that no
+    energy lies in yet and is wider than 1e-10 (1 + |E|), or (b) has two
+    different verdicts and is wider than the edge tolerance and four
+    float spacings.  A pair narrower than gap k reaches into it; one
+    that stops at width (a) marks a closed gap.
+
+    The new energy is the midpoint, except in a pair at E >= 0 that
+    isolates one edge: one end in a band with count n_b, the other in
+    gap n_b or n_b + 1.  There g = s D - 2, with s the sign of D at the
+    gap end, changes sign once, and the step is Illinois regula falsi
+    on g: the older end's g is weighted by 2^-(c - 1), c the number of
+    sweeps between the ages of the two ends.  Such a pair takes at most
+    as many of these steps as bisection needs from the width where it
+    first takes one, and then bisects.  A pair that needs no work never
+    needs it again, and a pair's first step comes after it halved every
+    sweep before, so the loop stops within twice the bisection bound,
+    2 (1 + ceil(log2((e_max + 1) / 1e-10))) sweeps; past that it raises.
     """
+    cap = 2 * (1 + math.ceil(math.log2((e_max + 1.0) / _EDGE_TOL)))
     e = np.array([-1.0, float(e_max)])
     m, n = _monodromy_batch(V0, e, steps)
+    d = m[0, 0] + m[1, 1]
     side = np.where(e < 0.0, 1.0, _gap_side(m))
+    age = np.zeros(2, dtype=int)  # the sweep that added each energy
+    until = np.full(2, -1)  # last sweep its pair may step at; -1 before its first step
     K = int(n[-1])
     seen = np.zeros(K + 2, dtype=bool)
-    while True:
+    for sweep in range(1, cap + 1):
         gap = n + ((side > 0.0) == (n % 2 == 1))
         seen[np.minimum(gap[side != 0.0], K + 1)] = True
         unseen = np.cumsum(~seen[:K + 1])  # unseen[k]: gaps 0..k holding no energy
         lo, hi = e[:-1], e[1:]
         holds = unseen[np.minimum(n[1:], K)] > unseen[np.minimum(n[:-1], K)]
+        stop = np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))
         work = ((holds & (hi - lo > 1e-10 * (1.0 + np.abs(hi))))
-                | ((side[:-1] != side[1:])
-                   & (hi - lo > np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi))))))
+                | ((side[:-1] != side[1:]) & (hi - lo > stop)))
         if not np.any(work):
             return e, side
+        if sweep == cap:
+            break
         at = np.flatnonzero(work) + 1
-        mid = 0.5 * (lo + hi)[work]
-        m, n_mid = _monodromy_batch(V0, mid, steps)
-        e = np.insert(e, at, mid)
-        side = np.insert(side, at, np.where(mid < 0.0, 1.0, _gap_side(m)))
-        n = np.insert(n, at, n_mid)
+        i, j = at - 1, at  # the ends of each pair worked on
+        lo, hi, stop = lo[work], hi[work], stop[work]
+        # the gap end's gap less the band end's count, for one end in a band
+        rise = np.where(side[i] == 0.0, gap[j] - n[i], gap[i] - n[j])
+        one = (((side[i] == 0.0) != (side[j] == 0.0)) & ((rise == 0) | (rise == 1))
+               & (lo >= 0.0))
+        newer = np.where(age[i] > age[j], until[i], until[j])  # set by this pair's parent
+        budget = np.ceil(np.log2((hi - lo) / stop)).astype(int)
+        last = np.where(one, np.where(newer < 0, sweep + budget - 1, newer), -1)
+        s = side[i] + side[j]  # the gap end's sign
+        stale = 0.5 ** np.maximum(np.abs(age[i] - age[j]) - 1, 0)
+        g_lo = (s * d[i] - 2.0) * np.where(age[i] < age[j], stale, 1.0)
+        g_hi = (s * d[j] - 2.0) * np.where(age[j] < age[i], stale, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        step = one & (sweep <= last) & (g_lo * g_hi < 0.0) & (lo < x) & (x < hi)
+        new = np.where(step, x, 0.5 * (lo + hi))
+        m, n_new = _monodromy_batch(V0, new, steps)
+        e = np.insert(e, at, new)
+        d = np.insert(d, at, m[0, 0] + m[1, 1])
+        side = np.insert(side, at, np.where(new < 0.0, 1.0, _gap_side(m)))
+        n = np.insert(n, at, n_new)
+        age = np.insert(age, at, sweep)
+        until = np.insert(until, at, last)
+    raise NumericalError(f"edge bracketing did not stop within {cap} sweeps")
 
 
 def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dict]:
-    """Bracket and bisect the discriminant; returns the band set and metadata.
+    """Bracket the edges of the discriminant; returns the band set and metadata.
 
     The bands are the runs of in-band energies of ``_sweep``, each edge
     the midpoint of the pair where the verdict flips, a run that reaches

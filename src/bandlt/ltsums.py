@@ -34,10 +34,10 @@ from .errors import (
     HypothesisViolationError,
     PreconditionError,
 )
+from .moebius import RNG_FAMILY
 from .operators import SpectrumReport
 from .schatten import NormBundle
 
-RNG_FAMILY = "numpy.random.Generator/PCG64"
 _TREND_WINDOW, _TREND_FACTOR = 3, 4.0  # couplings compared, flagged spread
 _CHAIN_TOLERANCE = 1e-12  # relative slack of the link-1 check
 

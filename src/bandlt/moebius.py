@@ -41,6 +41,7 @@ _BAND = 1
 _GAP = 2
 
 VARIANTS = ("halfplane", "gap", "uniform")
+RNG_FAMILY = "numpy.random.Generator/PCG64"  # of every seeded draw in the toolkit
 
 #: per variant: admits[code] for the (halfplane, band, gap) region codes,
 #: and the admitted region in words

@@ -307,6 +307,20 @@ class TestFloatFailures:
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.split() == []
 
+    def test_bands_and_distort_leave_out_scipy(self, tmp_path):
+        # neither command builds an operator, so neither may load scipy
+        doc = {"v0": {"type": "cos", "q": 2.0}, "bands": {"e_max": 9.0},
+               "distort": {"omega": -1.0, "samples": 100}}
+        code = ("import sys, bandlt.cli\n"
+                "for command in ('bands', 'distort'):\n"
+                f"    assert bandlt.cli.run({doc!r}, command=command)[0] == 0\n"
+                "print('scipy' in sys.modules)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False"]
+
 
 class TestBandsCommand:
     def test_free_potential_single_band(self, tmp_path):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandlt import hill
 from bandlt.errors import (
@@ -269,8 +271,9 @@ def sweeps(monkeypatch):
 
 
 def _sweep_bound(e_max):
-    """Sweeps of the bisection loop: the first, then one per halving of
-    the widest open pair from e_max + 1 down to 1e-10."""
+    """Sweeps of plain bisection: the first, then one per halving of the
+    widest open pair from e_max + 1 down to 1e-10.  ``hill._sweep`` is
+    capped at twice this; no reference config needs more than this."""
     return 1 + math.ceil(math.log2((e_max + 1.0) / 1e-10))
 
 
@@ -366,16 +369,52 @@ class TestBandEdges:
         swept, _ = hill._sweep(V0, e_max, hill.default_steps(e_max, V0.period))
         nu3 = (3.0 * math.pi / 0.01) ** 2
         assert np.min(np.abs(swept - nu3)) < 1e-10 * (1.0 + nu3)
-        # each round halves every open pair
+        # count pairs bisect, and the one edge, at 0, has an end below 0
         assert len(sweeps) <= _sweep_bound(e_max)
 
-    @pytest.mark.parametrize("q, e_max, most", [(2.0, 9.0, 500), (1.0, 4.0, 320)],
+    @pytest.mark.parametrize("q, e_max, most, rounds", [(2.0, 9.0, 130, 28), (1.0, 4.0, 80, 20)],
                              ids=["mathieu-q2", "cos-q1"])
-    def test_integrated_energies(self, sweeps, q, e_max, most):
+    def test_integrated_energies(self, sweeps, q, e_max, most, rounds):
         # past a fixed Python overhead of a few ms, a sweep costs its batch
-        # size; the runs integrate 416 (q = 2) and 262 (q = 1) energies
-        hill.band_edges_report(hill.cosine(q), e_max)
-        assert sum(sweeps) <= most
+        # size; the runs take 26 sweeps of 123 energies (q = 2) and 18 of
+        # 74 (q = 1), where bisection alone took 38 of 363 and 37 of 232
+        I, meta = hill.band_edges_report(hill.cosine(q), e_max)
+        assert sum(sweeps) == meta["scan_points"] <= most
+        assert len(sweeps) <= rounds
+
+    def test_step_budget_caps_sweeps(self, monkeypatch, sweeps):
+        # D outside [-2, 2] moved 1e12 times further from +/-2, with the
+        # entry discriminant and so every verdict unchanged: a secant
+        # through a gap end then lands next to the band end, and a pair
+        # exhausts its interpolation steps and bisects the rest of the way
+        V0, e_max = hill.cosine(2.0), 9.0
+        I_ref, meta_ref = hill.band_edges_report(V0, e_max)
+        batch = hill._monodromy_batch
+
+        def steep(V, energies, steps=None):
+            m, count = batch(V, energies, steps)
+            d = m[0, 0] + m[1, 1]
+            lift = 0.5 * (1e12 - 1.0) * np.where(np.abs(d) > 2.0, d - 2.0 * np.sign(d), 0.0)
+            m[0, 0] += lift
+            m[1, 1] += lift
+            return m, count
+
+        sweeps.clear()
+        monkeypatch.setattr(hill, "_monodromy_batch", steep)
+        I, meta = hill.band_edges_report(V0, e_max)
+        assert _sweep_bound(e_max) < len(sweeps) <= 2 * _sweep_bound(e_max)
+        assert meta["edges_found"] == meta_ref["edges_found"]
+        assert np.all(np.abs(np.asarray(I.edges) - np.asarray(I_ref.edges))
+                      <= 1e-8 * (1.0 + np.abs(np.asarray(I_ref.edges))))
+
+    def test_noisy_edge_stays_within_cap(self, sweeps):
+        # near 4.1122 a gap about 5e-7 wide keeps |D| - 2 within 1e-13,
+        # near the rounding of D, so secants there make little headway: a
+        # pair uses up its steps and bisects, and the run takes 41 sweeps,
+        # past the 39 of bisection alone and within the cap of 78
+        e_max = 21.071716330991443
+        hill.band_edges_report(hill.cosine(0.1117644688518176), e_max)
+        assert len(sweeps) <= 2 * _sweep_bound(e_max)
 
 
 def _reference_d_bisect_edges(V0, brackets, steps):
@@ -531,8 +570,8 @@ _ORACLE_CONFIGS = pytest.mark.parametrize("V0, e_max", [
 
 
 class TestScanAndChaseOracle:
-    """The bisection loop against the scan grid and golden-section chase
-    it replaced: the same bands, edges within 1e-8 (1 + |E|) and the same
+    """The sweep loop against the scan grid and golden-section chase it
+    replaced: the same bands, edges within 1e-8 (1 + |E|) and the same
     metadata flags."""
 
     @_ORACLE_CONFIGS
@@ -551,10 +590,83 @@ class TestScanAndChaseOracle:
 
     @_ORACLE_CONFIGS
     def test_sweeps_within_bound(self, sweeps, V0, e_max):
-        # a pair that needs no work never needs it again, so every sweep
-        # halves the widest open pair
+        # the regula falsi steps keep every reference config within the
+        # sweeps plain bisection needs, under the cap of twice that
         hill.band_edges_report(V0, e_max)
         assert len(sweeps) <= _sweep_bound(e_max)
+
+
+def bisection_sweep(V0, e_max, steps):
+    """The plain bisection loop that the interpolation steps of
+    ``hill._sweep`` sped up: every open pair takes its midpoint."""
+    e = np.array([-1.0, float(e_max)])
+    m, n = hill._monodromy_batch(V0, e, steps)
+    side = np.where(e < 0.0, 1.0, hill._gap_side(m))
+    K = int(n[-1])
+    seen = np.zeros(K + 2, dtype=bool)
+    while True:
+        gap = n + ((side > 0.0) == (n % 2 == 1))
+        seen[np.minimum(gap[side != 0.0], K + 1)] = True
+        unseen = np.cumsum(~seen[:K + 1])  # unseen[k]: gaps 0..k holding no energy
+        lo, hi = e[:-1], e[1:]
+        holds = unseen[np.minimum(n[1:], K)] > unseen[np.minimum(n[:-1], K)]
+        work = ((holds & (hi - lo > 1e-10 * (1.0 + np.abs(hi))))
+                | ((side[:-1] != side[1:])
+                   & (hi - lo > np.maximum(hill._EDGE_TOL, 4.0 * np.spacing(np.abs(hi))))))
+        if not np.any(work):
+            return e, side
+        at = np.flatnonzero(work) + 1
+        mid = 0.5 * (lo + hi)[work]
+        m, n_mid = hill._monodromy_batch(V0, mid, steps)
+        e = np.insert(e, at, mid)
+        side = np.insert(side, at, np.where(mid < 0.0, 1.0, hill._gap_side(m)))
+        n = np.insert(n, at, n_mid)
+
+
+def _report_or_error(V0, e_max):
+    try:
+        return hill.band_edges_report(V0, e_max)
+    except NumericalError as exc:
+        return exc
+
+
+@st.composite
+def _potentials(draw):
+    if draw(st.booleans()):
+        return hill.cosine(draw(st.floats(0.1, 5.0)))
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=3, max_size=7))
+    return hill.from_samples(values, draw(st.floats(0.5, 2.0 * math.pi)))
+
+
+class TestBisectionOracle:
+    """The interpolation steps against plain bisection: the same bands and
+    metadata flags, edges within 1e-8 (1 + |E|) as in
+    ``TestScanAndChaseOracle``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(V0=_potentials(), e_max=st.floats(1.0, 30.0))
+    @example(V0=hill.cosine(2.0), e_max=9.0)
+    @example(V0=hill.cosine(0.3), e_max=30.0)
+    @example(V0=hill.from_samples([0.0, 3.0, 1.0, 5.0, 0.5], 1.7), e_max=30.0)
+    @example(V0=hill.cosine(0.1117644688518176), e_max=21.071716330991443)
+    def test_matches_bisection(self, V0, e_max):
+        got = _report_or_error(V0, e_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hill, "_sweep", bisection_sweep)
+            want = _report_or_error(V0, e_max)
+        if isinstance(want, NumericalError):
+            assert isinstance(got, NumericalError) and str(got) == str(want)
+            return
+        (I, meta), (I_ref, meta_ref) = got, want
+        assert I.num_bands == I_ref.num_bands
+        for key in ("edges_found", "truncated_at_e_max"):
+            assert meta[key] == meta_ref[key], key
+        for got, want in ((I.edges, I_ref.edges),
+                          (meta["merged_gaps"], meta_ref["merged_gaps"]),
+                          (meta["dropped_slivers"], meta_ref["dropped_slivers"])):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want)))
 
 
 class TestSpeculativeRounds:
