@@ -7,10 +7,13 @@ solution with y(0) = 0 and y'(0) = 1; by Sturm oscillation theory it is
 the number of Dirichlet eigenvalues nu_k below E, and nu_k lies in the
 k-th closed gap (Magnus and Winkler, *Hill's Equation*, 1966).
 ``band_edges_report`` runs one loop over neighbouring swept energies
-(``_sweep``): each sweep adds, in one batch, an energy inside every pair
+(``_sweep``): each round adds, in one batch, an energy inside every pair
 that holds a Dirichlet eigenvalue of a gap no energy lies in yet, or
 whose gap verdicts differ.  That energy is the midpoint, or an Illinois
-regula falsi step on |D| - 2 where the pair isolates one band edge.  The
+regula falsi step on |D| - 2 where the pair isolates one band edge.  A
+sweep of up to ``_LANES`` energies costs little more than one of 1, so
+each sweep also integrates the midpoints the next bisection rounds can
+take, and runs those rounds without a new sweep.  The
 runs of in-band energies are the bands of a validated
 :class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes,
 with metadata on the resolution used.  A gap needs
@@ -46,6 +49,7 @@ _DEGENERATE_GAP = 1e-8
 _PROBE_POINTS = 2048
 _MAX_STEPS = 50_000  # RK4 steps per sweep; Mathieu q = 2 to e_max 30 needs 7211
 _CHUNK = 8192  # blocks x energies per integration chunk; caps the RK4 arrays
+_LANES = 24  # energies a sweep may look ahead with; at 3954 steps 24 cost 2x one
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,15 @@ def _check_values(vals: np.ndarray) -> None:
         )
 
 
+def _check_period(period: float) -> None:
+    """Refuse a period that is not a positive finite float, before it is used."""
+    if not 0.0 < period < math.inf:
+        raise ValidationError(f"period must be positive and finite; got {period}")
+
+
 def from_callable(f, period: float, sup_norm: float | None = None) -> PeriodicPotential:
     """Wrap a closed-form potential, checking periodicity and V0 >= 0."""
-    if not period > 0:
-        raise ValidationError("period must be positive")
+    _check_period(period)
     x = np.linspace(0.0, period, _PROBE_POINTS, endpoint=False)
     vals = np.asarray(f(x), dtype=float)
     _check_values(vals)
@@ -96,6 +105,7 @@ def cosine(q: float, period: float = 2.0 * math.pi) -> PeriodicPotential:
     """V0(x) = q (1 + cos(2 pi x / period)), nonnegative for q >= 0."""
     if q < 0:
         raise HypothesisViolationError("cosine amplitude q must be >= 0")
+    _check_period(period)
     w = 2.0 * math.pi / period
     return from_callable(lambda x: q * (1.0 + np.cos(w * np.asarray(x, dtype=float))),
                          period, sup_norm=2.0 * q)
@@ -108,6 +118,7 @@ def from_samples(values, period: float) -> PeriodicPotential:
     if vals.ndim != 1 or vals.size < 2:
         raise ValidationError("need a 1D array of at least two samples")
     _check_values(vals)
+    _check_period(period)
     xs = np.linspace(0.0, period, vals.size, endpoint=False)
     xs_wrap = np.append(xs, period)
     vals_wrap = np.append(vals, vals[0])
@@ -278,7 +289,7 @@ def _sweep(V0, e_max, steps):
     every E < 0 in gap 0, so it gets +1 whatever rounding makes of D
     (at tiny periods D - 2 ~ |E| T^2 drowns in it).  The first sweep
     is E = -1 and e_max, so K = N(e_max) gaps hold a nu_k below e_max.
-    Each later sweep adds, in one batch, one energy inside every pair of
+    Each later round adds, in one batch, one energy inside every pair of
     neighbouring energies that (a) holds nu_k of a gap k <= K that no
     energy lies in yet and is wider than 1e-10 (1 + |E|), or (b) has two
     different verdicts and is wider than the edge tolerance and four
@@ -292,8 +303,21 @@ def _sweep(V0, e_max, steps):
     on g: the older end's g is weighted by 2^-(c - 1), c the number of
     sweeps between the ages of the two ends.  Such a pair takes at most
     as many of these steps as bisection needs from the width where it
-    first takes one, and then bisects.  A pair that needs no work never
-    needs it again, and a pair's first step comes after it halved every
+    first takes one, and then bisects.
+
+    A sweep runs the first round for every pair and, for the pairs it
+    bisects, sweeps ahead: it also integrates the midpoints of their
+    next levels - 1 halvings, levels = floor(log2(_LANES // w + 1)) for
+    w pairs worked on, so a batch holds at most max(_LANES, w) energies.
+    Later rounds take those midpoints, each computed as bisection
+    computes it, for as long as every pair that needs work and isolates
+    no single edge finds its own among them.  A pair that isolates one
+    edge takes its midpoint if it is there and otherwise waits for the
+    next sweep; midpoints no round takes are dropped.  So the pairs that
+    find the gaps take exactly the energies of plain bisection, round
+    for round, only in fewer sweeps.  A pair that needs no work never
+    needs it again, every sweep halves each open pair or gives it one of
+    its steps, and a pair's first step comes after it was halved every
     sweep before, so the loop stops within twice the bisection bound,
     2 (1 + ceil(log2((e_max + 1) / 1e-10))) sweeps; past that it raises.
     """
@@ -306,7 +330,10 @@ def _sweep(V0, e_max, steps):
     until = np.full(2, -1)  # last sweep its pair may step at; -1 before its first step
     K = int(n[-1])
     seen = np.zeros(K + 2, dtype=bool)
-    for sweep in range(1, cap + 1):
+
+    def pairs():
+        """Left ends of the pairs that need work, which of them isolate one
+        edge, and their stop widths; marks the gaps that hold an energy."""
         gap = n + ((side > 0.0) == (n % 2 == 1))
         seen[np.minimum(gap[side != 0.0], K + 1)] = True
         unseen = np.cumsum(~seen[:K + 1])  # unseen[k]: gaps 0..k holding no energy
@@ -315,17 +342,21 @@ def _sweep(V0, e_max, steps):
         stop = np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))
         work = ((holds & (hi - lo > 1e-10 * (1.0 + np.abs(hi))))
                 | ((side[:-1] != side[1:]) & (hi - lo > stop)))
-        if not np.any(work):
+        i = np.flatnonzero(work)
+        # the gap end's gap less the band end's count, for one end in a band
+        rise = np.where(side[i] == 0.0, gap[i + 1] - n[i], gap[i] - n[i + 1])
+        one = (((side[i] == 0.0) != (side[i + 1] == 0.0)) & ((rise == 0) | (rise == 1))
+               & (lo[i] >= 0.0))
+        return i, one, stop[work]
+
+    for sweep in range(1, cap + 1):
+        i, one, stop = pairs()
+        if i.size == 0:
             return e, side
         if sweep == cap:
             break
-        at = np.flatnonzero(work) + 1
-        i, j = at - 1, at  # the ends of each pair worked on
-        lo, hi, stop = lo[work], hi[work], stop[work]
-        # the gap end's gap less the band end's count, for one end in a band
-        rise = np.where(side[i] == 0.0, gap[j] - n[i], gap[i] - n[j])
-        one = (((side[i] == 0.0) != (side[j] == 0.0)) & ((rise == 0) | (rise == 1))
-               & (lo >= 0.0))
+        j = i + 1  # the ends of each pair worked on
+        lo, hi = e[i], e[j]
         newer = np.where(age[i] > age[j], until[i], until[j])  # set by this pair's parent
         budget = np.ceil(np.log2((hi - lo) / stop)).astype(int)
         last = np.where(one, np.where(newer < 0, sweep + budget - 1, newer), -1)
@@ -336,14 +367,37 @@ def _sweep(V0, e_max, steps):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
         step = one & (sweep <= last) & (g_lo * g_hi < 0.0) & (lo < x) & (x < hi)
-        new = np.where(step, x, 0.5 * (lo + hi))
-        m, n_new = _monodromy_batch(V0, new, steps)
-        e = np.insert(e, at, new)
-        d = np.insert(d, at, m[0, 0] + m[1, 1])
-        side = np.insert(side, at, np.where(new < 0.0, 1.0, _gap_side(m)))
-        n = np.insert(n, at, n_new)
-        age = np.insert(age, at, sweep)
-        until = np.insert(until, at, last)
+        # the bisected pairs' midpoints down to `levels` halvings, or to
+        # their stop width, each as 0.5 * (lo + hi) of its half-pair
+        levels = max(int(math.log2(_LANES // i.size + 1)), 1)
+        a, b, k = lo[~step], hi[~step], np.minimum(levels, budget[~step])
+        ahead = [x[step]]
+        while a.size:
+            mid = 0.5 * (a + b)
+            ahead.append(mid)
+            more = k > 1
+            a, b, k = (np.concatenate([a[more], mid[more]]), np.concatenate([mid[more], b[more]]),
+                       np.tile(k[more] - 1, 2))
+        ahead = np.sort(np.concatenate(ahead))
+        m, n_ahead = _monodromy_batch(V0, ahead, steps)
+        d_ahead = m[0, 0] + m[1, 1]
+        side_ahead = np.where(ahead < 0.0, 1.0, _gap_side(m))
+        new, new_until = np.where(step, x, 0.5 * (lo + hi)), last
+        while True:
+            at = np.searchsorted(ahead, new)
+            e = np.insert(e, i + 1, new)
+            d = np.insert(d, i + 1, d_ahead[at])
+            side = np.insert(side, i + 1, side_ahead[at])
+            n = np.insert(n, i + 1, n_ahead[at])
+            age = np.insert(age, i + 1, sweep)
+            until = np.insert(until, i + 1, new_until)
+            i, one, _ = pairs()
+            new = 0.5 * (e[i] + e[i + 1])
+            found = ahead[np.minimum(np.searchsorted(ahead, new), ahead.size - 1)] == new
+            if not np.any(found) or not np.all(found[~one]):
+                break
+            i, one, new = i[found], one[found], new[found]
+            new_until = np.where(one, np.where(age[i] > age[i + 1], until[i], until[i + 1]), -1)
     raise NumericalError(f"edge bracketing did not stop within {cap} sweeps")
 
 

@@ -85,9 +85,11 @@ def apply(mob: MoebiusMap, z):
 
 
 def _require_below_first_edge(mob: MoebiusMap, band_set: BandSet) -> None:
-    if not mob.omega < band_set.a1:
+    """omega finite (at -inf the map sends every z to 0) and below a_1."""
+    if not -np.inf < mob.omega < band_set.a1:
         raise PreconditionError(
-            f"map shift omega={mob.omega} must lie strictly below a_1={band_set.a1}"
+            f"map shift omega={mob.omega} must be finite and lie strictly below "
+            f"a_1={band_set.a1}"
         )
 
 
@@ -311,10 +313,17 @@ def verify_distortion(
     order.  Rejection reads only Re z = omega + r cos(theta) and whether
     theta = 0; Im z = r sin(theta) is computed for the kept draws only
     (the bits of omega + r exp(i theta)).  ``gap`` drops draws on r and
-    theta first; they count as rejected.  Preconditions are checked before any draw.  Raises
-    NumericalError when max(10^6, 2000 n) draws hold fewer than n
-    admissible points.  Returns a report; violations never raise.
+    theta first; they count as rejected.  Preconditions are checked before
+    any draw: n >= 0, a tolerance below inf (at NaN or inf no quotient
+    could count as a violation; -inf lists every sample) and the
+    variant's.  Raises NumericalError when max(10^6, 2000 n) draws hold
+    fewer than n admissible points.  Returns a report; violations never
+    raise.
     """
+    if not n >= 0:
+        raise PreconditionError(f"sample count n={n} must be >= 0")
+    if not tolerance < np.inf:
+        raise PreconditionError(f"tolerance={tolerance} must be a number below inf")
     _require_variant(band_set, mob, variant)
     z, rejected = _sample(band_set, mob, variant, n,
                           rng if rng is not None else np.random.default_rng())

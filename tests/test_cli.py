@@ -220,6 +220,13 @@ class TestConfigHandling:
         assert status == EXIT_CONFIG, result
         assert f"'{path}'" in result["error"]
 
+    def test_cos_zero_period_exit_2(self):
+        # refused before 2 pi / period, which exited 4 on a float division
+        doc = {"v0": {"type": "cos", "q": 1.0, "period": 0}, "bands": {"e_max": 9.0}}
+        status, result = cli.run(doc, command="bands")
+        assert status == EXIT_CONFIG, result
+        assert "period must be positive" in result["error"]
+
     def test_samples_below_zero_exit_3(self):
         doc = {"v0": {"type": "samples", "period": 1.0, "values": [1.0, -1e-6, 1.0]},
                "bands": {"e_max": 9.0}}

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,17 @@ class TestPotentials:
     def test_cosine_negative_amplitude_rejected(self):
         with pytest.raises(HypothesisViolationError):
             hill.cosine(-1.0)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_period_refused_first(self, period):
+        # before 2 pi / period, a probe grid or a sample grid is formed:
+        # no ZeroDivisionError and no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for make in (lambda: hill.cosine(1.0, period), lambda: hill.free(period),
+                         lambda: hill.from_samples([0.0, 1.0], period)):
+                with pytest.raises(ValidationError, match="period must be positive"):
+                    make()
 
     def test_sup_norm(self):
         assert hill.cosine(2.0).sup_norm == 4.0
@@ -255,19 +267,19 @@ _MAX_SWEEPS = 80
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Batch size of every ``_monodromy_batch`` sweep, in call order; a run
+    """The energies of every ``_monodromy_batch`` sweep, in call order; a run
     past ``_MAX_SWEEPS`` sweeps fails as a bracketing loop that never stops."""
-    sizes = []
+    batches = []
     batch = hill._monodromy_batch
 
     def counted(V0, energies, steps=None):
-        sizes.append(np.atleast_1d(energies).size)
-        if len(sizes) > _MAX_SWEEPS:
+        batches.append(np.array(energies, dtype=float, ndmin=1))
+        if len(batches) > _MAX_SWEEPS:
             raise AssertionError("edge bracketing did not stop")
         return batch(V0, energies, steps)
 
     monkeypatch.setattr(hill, "_monodromy_batch", counted)
-    return sizes
+    return batches
 
 
 def _sweep_bound(e_max):
@@ -357,7 +369,7 @@ class TestBandEdges:
     def test_bisection_stops_at_float_resolution(self, sweeps):
         # edges near 9e5 sit where one float spacing exceeds the 1e-10
         # edge tolerance; a tolerance-only stop bisects until the fixture
-        # cuts it off after _MAX_SWEEPS (the run takes 55 sweeps)
+        # cuts it off after _MAX_SWEEPS (the run takes 26 sweeps)
         I, _ = hill.band_edges_report(hill.from_samples([0.0, 2e4], 0.01), 1.2e6)
         assert I.edges[-1][0] > 2.0**19
 
@@ -372,15 +384,38 @@ class TestBandEdges:
         # count pairs bisect, and the one edge, at 0, has an end below 0
         assert len(sweeps) <= _sweep_bound(e_max)
 
-    @pytest.mark.parametrize("q, e_max, most, rounds", [(2.0, 9.0, 130, 28), (1.0, 4.0, 80, 20)],
+    @pytest.mark.parametrize("q, e_max, most, ahead, rounds",
+                             [(2.0, 9.0, 130, 140, 23), (1.0, 4.0, 80, 90, 16)],
                              ids=["mathieu-q2", "cos-q1"])
-    def test_integrated_energies(self, sweeps, q, e_max, most, rounds):
-        # past a fixed Python overhead of a few ms, a sweep costs its batch
-        # size; the runs take 26 sweeps of 123 energies (q = 2) and 18 of
-        # 74 (q = 1), where bisection alone took 38 of 363 and 37 of 232
+    def test_integrated_energies(self, sweeps, q, e_max, most, ahead, rounds):
+        # at 3954 steps a sweep of 1 energy takes 1.3 ms, of 24 2.6 ms
+        # and of 32 3.2 ms, so a sweep also integrates midpoints of later
+        # bisection rounds and drops those no round takes: the runs keep
+        # 122 of 131 energies in 21 sweeps (q = 2) and 74 of 81 in 14
+        # (q = 1), against 123 in 26 and 74 in 18 one round per sweep,
+        # and 363 in 38 and 232 in 37 with bisection alone
         I, meta = hill.band_edges_report(hill.cosine(q), e_max)
-        assert sum(sweeps) == meta["scan_points"] <= most
+        assert meta["scan_points"] <= most
+        assert meta["scan_points"] <= sum(b.size for b in sweeps) <= ahead
         assert len(sweeps) <= rounds
+
+    @pytest.mark.parametrize("V0, e_max", [(hill.cosine(2.0), 9.0), (hill.cosine(2.0), 30.0),
+                                           (hill.cosine(1.0), 4.0), (hill.cosine(0.3), 60.0),
+                                           (hill.from_samples([0.0, 2e4], 0.01), 1.2e6)],
+                             ids=["q2-9", "q2-30", "q1-4", "q0.3-60", "float-resolution"])
+    def test_batches_within_lane_budget(self, sweeps, V0, e_max):
+        # a batch falls in at least as many pairs of the energies
+        # integrated before it as the sweep works on, so sweeping ahead
+        # keeps every batch within max(_LANES, pairs); and some sweep does
+        # integrate more than one energy in a pair
+        hill.band_edges_report(V0, e_max)
+        swept, looked_ahead = sweeps[0], False
+        for batch in sweeps[1:]:
+            pairs = np.unique(np.searchsorted(swept, batch)).size
+            assert batch.size <= max(hill._LANES, pairs)
+            looked_ahead |= batch.size > pairs
+            swept = np.sort(np.concatenate([swept, batch]))
+        assert looked_ahead
 
     def test_step_budget_caps_sweeps(self, monkeypatch, sweeps):
         # D outside [-2, 2] moved 1e12 times further from +/-2, with the
@@ -409,9 +444,10 @@ class TestBandEdges:
 
     def test_noisy_edge_stays_within_cap(self, sweeps):
         # near 4.1122 a gap about 5e-7 wide keeps |D| - 2 within 1e-13,
-        # near the rounding of D, so secants there make little headway: a
-        # pair uses up its steps and bisects, and the run takes 41 sweeps,
-        # past the 39 of bisection alone and within the cap of 78
+        # near the rounding of D, so secants there make little headway and
+        # a pair can use up its steps and bisect; without sweeping ahead
+        # the run took 41 sweeps, past the 39 of bisection alone, and now
+        # it takes 32, within the cap of 78
         e_max = 21.071716330991443
         hill.band_edges_report(hill.cosine(0.1117644688518176), e_max)
         assert len(sweeps) <= 2 * _sweep_bound(e_max)
@@ -649,6 +685,11 @@ class TestBisectionOracle:
     @example(V0=hill.cosine(0.3), e_max=30.0)
     @example(V0=hill.from_samples([0.0, 3.0, 1.0, 5.0, 0.5], 1.7), e_max=30.0)
     @example(V0=hill.cosine(0.1117644688518176), e_max=21.071716330991443)
+    @example(V0=hill.cosine(1.0), e_max=12.0)
+    # gaps about 1e-6 wide near 14.03 and 14.29 whose nu_k the count puts
+    # outside them: only energies that land inside find them
+    @example(V0=hill.cosine(1.75), e_max=17.0)
+    @example(V0=hill.cosine(2.0), e_max=15.4375)
     def test_matches_bisection(self, V0, e_max):
         got = _report_or_error(V0, e_max)
         with pytest.MonkeyPatch.context() as mp:

@@ -352,6 +352,24 @@ class TestVerifyDistortion:
         assert report.violations == []
         assert report.min_quotient is None
 
+    @pytest.mark.parametrize("variant", moebius.VARIANTS)
+    @pytest.mark.parametrize("omega, kwargs, words", [
+        (-math.inf, {}, "omega=-inf must be finite"),
+        (math.nan, {}, "omega=nan must be finite"),
+        (-0.5, {"tolerance": math.nan}, "tolerance=nan"),
+        (-0.5, {"tolerance": math.inf}, "tolerance=inf"),
+        (-0.5, {"n": -1}, "n=-1"),
+    ], ids=["omega-minus-inf", "omega-nan", "tolerance-nan", "tolerance-inf", "n-negative"])
+    def test_refused_before_first_draw(self, three_bands, variant, omega, kwargs, words):
+        # omega = -inf once drew 1,003,520 points and exited 4; at tolerance
+        # NaN or inf no quotient could count as a violation
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(PreconditionError, match=words):
+            moebius.verify_distortion(three_bands, moebius.MoebiusMap(omega), variant,
+                                      rng=rng, **kwargs)
+        assert rng.bit_generator.state == state
+
     def test_sampler_never_admissible_raises(self, rng):
         # the draws keep |z| <= 1e3, so the gap (2001, 2002) is out of reach
         I = bandset.validate([(2000, 2001), (2002, 2003)])
