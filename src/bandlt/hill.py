@@ -11,9 +11,9 @@ k-th closed gap (Magnus and Winkler, *Hill's Equation*, 1966).
 that holds a Dirichlet eigenvalue of a gap no energy lies in yet, or
 whose gap verdicts differ.  That energy is the midpoint, or an Illinois
 regula falsi step on |D| - 2 where the pair isolates one band edge.  A
-sweep of up to ``_LANES`` energies costs little more than one of 1, so
-each sweep also integrates the midpoints the next bisection rounds can
-take, and runs those rounds without a new sweep.  The
+sweep of up to ``_LANES`` energies costs less than two sweeps of one,
+so each sweep also integrates the midpoints the next bisection rounds
+can take, and runs those rounds without a new sweep.  The
 runs of in-band energies are the bands of a validated
 :class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes,
 with metadata on the resolution used.  A gap needs
@@ -49,7 +49,7 @@ _DEGENERATE_GAP = 1e-8
 _PROBE_POINTS = 2048
 _MAX_STEPS = 50_000  # RK4 steps per sweep; Mathieu q = 2 to e_max 30 needs 7211
 _CHUNK = 8192  # blocks x energies per integration chunk; caps the RK4 arrays
-_LANES = 24  # energies a sweep may look ahead with; at 3954 steps 24 cost 2x one
+_LANES = 20  # energies a sweep may look ahead with; at 3954 steps 20 cost 1.9x one
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,8 @@ def _gap_side(m):
 
 
 def _sweep(V0, e_max, steps):
-    """Swept energies, sorted, and ``_gap_side`` at them.
+    """Swept energies, sorted, ``_gap_side`` at them, and how many energies
+    were integrated.
 
     A swept E in a gap with count n lies in gap n when sign D = (-1)^n
     and in gap n + 1 otherwise (gap 0 lies below the spectrum), because
@@ -309,16 +310,18 @@ def _sweep(V0, e_max, steps):
     bisects, sweeps ahead: it also integrates the midpoints of their
     next levels - 1 halvings, levels = floor(log2(_LANES // w + 1)) for
     w pairs worked on, so a batch holds at most max(_LANES, w) energies.
+    A half-pair that ends below 0 gets none, as it never needs work.
     Later rounds take those midpoints, each computed as bisection
     computes it, for as long as every pair that needs work and isolates
     no single edge finds its own among them.  A pair that isolates one
     edge takes its midpoint if it is there and otherwise waits for the
-    next sweep; midpoints no round takes are dropped.  So the pairs that
-    find the gaps take exactly the energies of plain bisection, round
-    for round, only in fewer sweeps.  A pair that needs no work never
-    needs it again, every sweep halves each open pair or gives it one of
-    its steps, and a pair's first step comes after it was halved every
-    sweep before, so the loop stops within twice the bisection bound,
+    next sweep; midpoints no round takes are dropped, but count among
+    the integrated energies returned with the swept ones.  So the pairs
+    that find the gaps take exactly the energies of plain bisection,
+    round for round, only in fewer sweeps.  A pair that needs no work
+    never needs it again, every sweep halves each open pair or gives it
+    one of its steps, and a pair's first step comes after it was halved
+    every sweep before, so the loop stops within twice the bisection bound,
     2 (1 + ceil(log2((e_max + 1) / 1e-10))) sweeps; past that it raises.
     """
     cap = 2 * (1 + math.ceil(math.log2((e_max + 1.0) / _EDGE_TOL)))
@@ -349,15 +352,20 @@ def _sweep(V0, e_max, steps):
                & (lo[i] >= 0.0))
         return i, one, stop[work]
 
+    def newer_until(i):
+        """``until`` of the newer end of each pair: set by its parent pair."""
+        return np.where(age[i] > age[i + 1], until[i], until[i + 1])
+
+    integrated = e.size
+    i, one, stop = pairs()
     for sweep in range(1, cap + 1):
-        i, one, stop = pairs()
         if i.size == 0:
-            return e, side
+            return e, side, integrated
         if sweep == cap:
             break
         j = i + 1  # the ends of each pair worked on
         lo, hi = e[i], e[j]
-        newer = np.where(age[i] > age[j], until[i], until[j])  # set by this pair's parent
+        newer = newer_until(i)
         budget = np.ceil(np.log2((hi - lo) / stop)).astype(int)
         last = np.where(one, np.where(newer < 0, sweep + budget - 1, newer), -1)
         s = side[i] + side[j]  # the gap end's sign
@@ -375,10 +383,11 @@ def _sweep(V0, e_max, steps):
         while a.size:
             mid = 0.5 * (a + b)
             ahead.append(mid)
-            more = k > 1
-            a, b, k = (np.concatenate([a[more], mid[more]]), np.concatenate([mid[more], b[more]]),
-                       np.tile(k[more] - 1, 2))
+            left, right = (k > 1) & (mid >= 0.0), k > 1  # E < 0 lies in gap 0
+            a, b = np.concatenate([a[left], mid[right]]), np.concatenate([mid[left], b[right]])
+            k = np.concatenate([k[left], k[right]]) - 1
         ahead = np.sort(np.concatenate(ahead))
+        integrated += ahead.size
         m, n_ahead = _monodromy_batch(V0, ahead, steps)
         d_ahead = m[0, 0] + m[1, 1]
         side_ahead = np.where(ahead < 0.0, 1.0, _gap_side(m))
@@ -391,13 +400,13 @@ def _sweep(V0, e_max, steps):
             n = np.insert(n, i + 1, n_ahead[at])
             age = np.insert(age, i + 1, sweep)
             until = np.insert(until, i + 1, new_until)
-            i, one, _ = pairs()
+            i, one, stop = pairs()
             new = 0.5 * (e[i] + e[i + 1])
             found = ahead[np.minimum(np.searchsorted(ahead, new), ahead.size - 1)] == new
             if not np.any(found) or not np.all(found[~one]):
-                break
+                break  # the next sweep starts from these pairs
             i, one, new = i[found], one[found], new[found]
-            new_until = np.where(one, np.where(age[i] > age[i + 1], until[i], until[i + 1]), -1)
+            new_until = np.where(one, newer_until(i), -1)
     raise NumericalError(f"edge bracketing did not stop within {cap} sweeps")
 
 
@@ -408,12 +417,13 @@ def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dic
     the midpoint of the pair where the verdict flips, a run that reaches
     e_max truncated there.  Metadata records the edges found, merged
     degenerate gaps (length < 1e-8: downstream band sets need strict
-    interlacing), the truncation, and ``scan_points``: every swept energy.
+    interlacing), the truncation, and ``scan_points``: every integrated
+    energy, including look-ahead midpoints that ``_sweep`` dropped.
     """
     if not e_max > 0:
         raise PreconditionError("e_max must be positive")
     steps = default_steps(float(e_max + V0.sup_norm), V0.period)
-    swept, side = _sweep(V0, e_max, steps)
+    swept, side, integrated = _sweep(V0, e_max, steps)
 
     inside = side == 0.0
     flips = np.flatnonzero(inside[:-1] != inside[1:])
@@ -446,7 +456,7 @@ def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dic
         "merged_gaps": [[float(a), float(b)] for a, b in merged_gaps],
         "dropped_slivers": [[float(a), float(b)] for a, b in slivers],
         "truncated_at_e_max": truncated,
-        "scan_points": int(swept.size),
+        "scan_points": int(integrated),
         "integration_steps": int(steps),
     }
     return I, meta
