@@ -384,10 +384,10 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
     """
     if (op_h.size, op_h.spacing, op_h.boundary) != (op_h0.size, op_h0.spacing, op_h0.boundary):
         raise PreconditionError("H and H0 must share the grid size, spacing and boundary")
-    d = op_h.matrix - op_h0.matrix
-    supp, cols = d.nonzero()
-    if np.any(supp != cols):
-        raise PreconditionError("H - H0 must be diagonal (a multiplication operator)")
+    if not (np.array_equal(op_h.coupling, op_h0.coupling) and op_h.corner == op_h0.corner):
+        raise PreconditionError("H - H0 must be diagonal: H and H0 share couplings and corner")
+    d = op_h.diagonal - op_h0.diagonal
+    supp = np.flatnonzero(d)
     I = report.band_set
     omega1 = operators.numerical_range_abscissa(op_h)
     if omega is None:
@@ -414,7 +414,7 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
     # factors of two thin QRs drop out of the singular values
     r_h = np.linalg.qr(operators.resolvent(op_h, omega, supp), mode="r")
     r_h0 = np.linalg.qr(operators.resolvent(op_h0, omega, supp), mode="r")
-    w_core = d.diagonal()[supp, None] * r_h0.T
+    w_core = d[supp, None] * r_h0.T
     delta_r_norm = schatten.schatten_norm(r_h @ w_core, nb.p)
 
     lam = 1.0 / (operators.eigenvalues(op_h) - omega)

@@ -3,7 +3,7 @@
 The 3-point stencil gives a tridiagonal kinetic part (2, -1, -1)/h^2
 (Dirichlet) with corner couplings added for periodic ends.  Potentials
 enter as diagonal samples on the grid nodes, so the model matrix is
-exactly kinetic + diag(V0) + diag(V), stored as a sparse CSC matrix.
+exactly kinetic + diag(V0) + diag(V), stored by diagonals and corner.
 With V = 0 the matrix is real symmetric; complex V makes it complex
 symmetric (non-normal), which is the whole point.
 
@@ -16,7 +16,7 @@ p/p' from A - z folded into node pairs: 2x2 block-LU steps at the two
 end blocks, and between them the transfer products of two scalar chains
 in about sqrt(N) runs, all runs advanced together.  Eigenvalues are
 cached, then classified against a band set by a distance threshold.
-One sparse LU of A - z serves resolvent columns and the inverse
+LAPACK band solves of A - z give resolvent columns and the inverse
 iteration that flags finite-box edge states by eigenvector mass.
 """
 
@@ -27,8 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .bandset import BandSet, dist_to_bands
 from .errors import (
@@ -49,7 +47,8 @@ _PAIR_ROWS = 256
 
 @dataclass
 class DiscretizedOperator:
-    """Assembled model matrix plus the grid behind it.
+    """Complex symmetric tridiagonal model matrix plus its grid: ``diagonal``,
+    ``coupling`` = A[k, k+1] and ``corner`` = A[N-1, 0] (0 on a box).
 
     Treat instances as immutable after assembly; the private fields cache
     the spectral decomposition so repeated queries stay cheap.
@@ -59,13 +58,15 @@ class DiscretizedOperator:
     spacing: float
     length: float
     boundary: str
-    matrix: scipy.sparse.csc_array
+    diagonal: np.ndarray
+    coupling: np.ndarray
+    corner: float
     _eigenvalues: np.ndarray | None = field(default=None, repr=False)
     _hermitian: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def is_self_adjoint(self) -> bool:
-        return not np.iscomplexobj(self.matrix)
+        return not (np.iscomplexobj(self.diagonal) or np.iscomplexobj(self.coupling))
 
     def grid(self) -> np.ndarray:
         """Node positions; Dirichlet nodes are interior, periodic include 0."""
@@ -76,19 +77,18 @@ def grid_nodes(length: float, n: int, boundary: str = "dirichlet") -> tuple[floa
     """Spacing and node positions of the N-point grid on [0, L].
 
     Dirichlet uses h = L/(N+1) with interior nodes, periodic uses h = L/N
-    with nodes from 0.
+    with nodes from 0; L must be positive and finite, 1/h^2 a finite float.
     """
     if n < 3:
         raise PreconditionError("need at least 3 grid points")
-    if not length > 0:
-        raise PreconditionError("box length must be positive")
-    if boundary == "dirichlet":
-        h = length / (n + 1)
-        return h, h * np.arange(1, n + 1)
-    if boundary == "periodic":
-        h = length / n
-        return h, h * np.arange(n)
-    raise ValidationError(f"unknown boundary {boundary!r}")
+    if boundary not in ("dirichlet", "periodic"):
+        raise ValidationError(f"unknown boundary {boundary!r}")
+    first = 1 if boundary == "dirichlet" else 0
+    h = length / (n + first)
+    hh = float(h) * float(h)
+    if not (0.0 < length < math.inf and 0.0 < hh < math.inf and 1.0 / hh < math.inf):
+        raise PreconditionError(f"box length {length!r} gives no finite positive 1/h^2")
+    return h, h * np.arange(first, n + first)
 
 
 def _as_samples(values, n: int, name: str) -> np.ndarray:
@@ -103,11 +103,11 @@ def _as_samples(values, n: int, name: str) -> np.ndarray:
 
 
 def discretize(v0, v, length: float, n: int, boundary: str = "dirichlet") -> DiscretizedOperator:
-    """Assemble the N x N tridiagonal model matrix (sparse CSC).
+    """Assemble the N x N tridiagonal model matrix as its diagonals.
 
     ``v0`` must be nonnegative samplewise (background hypothesis); ``v``
     may be complex.  Scalars broadcast.  The grid is that of
-    :func:`grid_nodes`; periodic ends add corner couplings.
+    :func:`grid_nodes`; periodic ends add the corner couplings.
     """
     h, _ = grid_nodes(length, n, boundary)
     v0_arr = _as_samples(v0, n, "V0")
@@ -122,36 +122,49 @@ def discretize(v0, v, length: float, n: int, boundary: str = "dirichlet") -> Dis
     complex_v = np.iscomplexobj(v_arr) and np.any(v_arr.imag != 0.0)
     v_arr = v_arr.astype(complex) if complex_v else v_arr.real.astype(float)
 
-    off = np.full(n - 1, -1.0 / h**2)
-    # add the diagonals one at a time so matrix == kinetic + diag(V0) + diag(V)
-    # holds bit-exactly (float addition is not associative)
-    diagonals, offsets = [off, (2.0 / h**2 + v0_arr) + v_arr, off], [-1, 0, 1]
-    if boundary == "periodic":
-        diagonals, offsets = diagonals + [off[:1], off[:1]], offsets + [1 - n, n - 1]
-    m = scipy.sparse.csc_array(scipy.sparse.diags(
-        diagonals, offsets, shape=(n, n), dtype=complex if complex_v else float))
-    return DiscretizedOperator(size=n, spacing=h, length=float(length),
-                               boundary=boundary, matrix=m)
+    off = -1.0 / h**2
+    # add V0, then V, so the diagonal is that of kinetic + diag(V0) + diag(V)
+    # bit for bit (float addition is not associative)
+    return DiscretizedOperator(size=n, spacing=h, length=float(length), boundary=boundary,
+                               diagonal=(2.0 / h**2 + v0_arr) + v_arr,
+                               coupling=np.full(n - 1, off),
+                               corner=off if boundary == "periodic" else 0.0)
+
+
+def _band(op: DiscretizedOperator, z: complex = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK band rows ab[b + i - j, j] = (A - z)[i, j] in band order, and
+    each node's place ``pos`` in it: natural order on a box (b = 1); on a
+    ring the zigzag 0, N-1, 1, N-2, ... puts the corner in the band (b = 2).
+    Rows b.. are the lower form that ``eigvals_banded`` reads."""
+    n, k = op.size, np.arange(op.size)
+    i, j, w = k[:-1], k[1:], op.coupling
+    if op.boundary == "dirichlet":
+        b, pos = 1, k
+    else:
+        b, pos = 2, np.where(2 * k < n, 2 * k, 2 * (n - k) - 1)
+        i, j, w = np.append(i, n - 1), np.append(j, 0), np.append(w, op.corner)
+    ab = np.zeros((2 * b + 1, n), dtype=np.result_type(op.diagonal, w, z))
+    ab[b, pos] = op.diagonal - z
+    p, q = pos[i], pos[j]
+    ab[b + p - q, q] = ab[b + q - p, p] = w
+    return ab, pos
+
+
+def _band_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(A - z)^-1 rhs in band order, overwriting rhs; NumericalError if singular."""
+    try:
+        return scipy.linalg.solve_banded((len(ab) // 2,) * 2, ab, rhs, overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"band LU of A - z failed: {exc}") from exc
 
 
 def _hermitian_spectrum(op: DiscretizedOperator) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part (A + A*)/2, cached.
-
-    A tridiagonal solve on a box; on a ring the zigzag node order
-    0, N-1, 1, N-2, ... makes it a band matrix of half-bandwidth 2.
-    """
+    """Ascending eigenvalues of the Hermitian part (A + A*)/2 = Re A, cached:
+    one LAPACK band eigensolve on the lower rows of :func:`_band`."""
     if op._hermitian is None:
-        herm = 0.5 * (op.matrix + op.matrix.conj().T)
+        ab, _ = _band(op)
         try:
-            if op.boundary == "dirichlet":
-                op._hermitian = scipy.linalg.eigvalsh_tridiagonal(
-                    herm.diagonal().real, herm.diagonal(1).real)
-            else:
-                k = np.arange(op.size)
-                zig = np.where(k % 2 == 0, k // 2, op.size - 1 - k // 2)
-                herm = herm[zig][:, zig]
-                band = [np.pad(herm.diagonal(-j).real, (0, j)) for j in range(3)]
-                op._hermitian = scipy.linalg.eigvals_banded(np.array(band), lower=True)
+            op._hermitian = scipy.linalg.eigvals_banded(ab[len(ab) // 2:].real, lower=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Hermitian-part eigensolver failed: {exc}") from exc
     return op._hermitian
@@ -352,16 +365,16 @@ def eigenvalues(op: DiscretizedOperator) -> np.ndarray:
     """
     if op._eigenvalues is not None:
         return op._eigenvalues
-    n, m = op.size, op.matrix
+    n = op.size
     if n > SOLVER_CAP:
         raise PreconditionError(f"N={n} exceeds the solver cap {SOLVER_CAP}")
-    a, u, corner = m.diagonal().astype(complex), m.diagonal(1), 0.0
+    a, u, corner = op.diagonal.astype(complex), op.coupling, op.corner
     if op.boundary == "periodic":
         # fold the ring from its most non-Hermitian node: every leading
         # block then holds part of Im V, so none is singular at a real
         # eigenvalue of a stretch with constant coefficients
         shift = int(np.argmax(abs(a.imag - np.median(a.imag)))) + n % 2
-        ring = np.roll(np.append(u, m[n - 1, 0]), -shift)
+        ring = np.roll(np.append(u, corner), -shift)
         a, u, corner = np.roll(a, -shift), ring[:-1], ring[-1]
     if np.all(a.imag == a.imag[0]):
         vals = _hermitian_spectrum(op) + 1j * a.imag[0]
@@ -385,42 +398,44 @@ def numerical_range_abscissa(op: DiscretizedOperator) -> float:
     return float(_hermitian_spectrum(op)[0])
 
 
-def _shifted_lu(op: DiscretizedOperator, z: complex):
-    """A - z in CSC form and its sparse LU; a singular factor raises."""
-    a = scipy.sparse.csc_array(op.matrix - z * scipy.sparse.identity(op.size),
-                               dtype=complex)
-    try:
-        return a, scipy.sparse.linalg.splu(a)
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse LU of A - z failed at z={z}: {exc}") from exc
-
-
 def resolvent(op: DiscretizedOperator, z: complex, cols) -> np.ndarray:
     """Columns ``cols`` of (A - z)^(-1), an N x len(cols) array.
 
-    Refuses shifts within 1e-8 of the spectrum (the error reports the
-    nearest eigenvalue distance) and checks the max-norm residual of the
-    solved columns afterwards, scaled by the conditioning of the solve.
+    Refuses non-finite shifts, columns outside 0..N-1 and shifts within
+    1e-8 of the spectrum, and checks the max-norm residual of the solved
+    columns afterwards, scaled by the conditioning of the solve.
     """
+    if not np.isfinite(z):
+        raise PreconditionError(f"resolvent shift z={z!r} must be finite")
+    cols = np.asarray(cols)
+    if not (cols.ndim == 1 and (cols.size == 0 or np.issubdtype(cols.dtype, np.integer))
+            and np.all((cols >= 0) & (cols < op.size))):
+        raise PreconditionError(f"resolvent columns must be indices in 0..{op.size - 1}")
     gap = float(np.min(np.abs(eigenvalues(op) - z)))
     if gap < 1e-8:
         raise NumericalError(
             f"shift z={z} is {gap:.3e} from the spectrum; resolvent refused"
         )
-    a, lu = _shifted_lu(op, z)
-    unit = scipy.sparse.identity(op.size, dtype=complex, format="csc")[:, cols]
-    # C order (a @ r would copy a Fortran-ordered r) and the residual
-    # A r - I[:, cols] formed in place: no further N x len(cols) temporaries
-    r = np.ascontiguousarray(lu.solve(unit.toarray()))
-    scale = max(1.0, np.max(np.abs(a.data)) * np.max(np.abs(r), initial=0.0))
-    res = a @ r
-    res[cols, np.arange(r.shape[1])] -= 1.0
-    residual = np.max(np.abs(res, out=res).real, initial=0.0)
+    ab, pos = _band(op, z)
+    b, rows, at = len(ab) // 2, pos[cols.astype(int)], np.arange(cols.size)
+    r = np.zeros((op.size, cols.size), dtype=complex, order="F")
+    r[rows, at] = 1.0
+    r = _band_solve(ab, r)
+    scale = max(1.0, np.max(np.abs(ab)) * np.max(np.abs(r), initial=0.0))
+    # the residual (A - z) r - I[:, cols] in blocks of 32 columns: no
+    # further N x len(cols) temporaries
+    residual = 0.0
+    for c in range(0, cols.size, 32):
+        x = r[:, c:c + 32]
+        # (A x)[i] sums ab[b - d, i + d] x[i + d]; what wraps meets zero padding
+        res = sum(np.roll(ab[b - d, :, None] * x, -d, axis=0) for d in range(-b, b + 1))
+        res[rows[c:c + 32], at[:x.shape[1]]] -= 1.0
+        residual = max(residual, float(np.max(np.abs(res))))
     if residual > 1e-8 * scale:
         raise NumericalError(
             f"resolvent residual {residual:.3e} exceeds condition-scaled tolerance"
         )
-    return r
+    return r[pos]
 
 
 @dataclass
@@ -474,9 +489,9 @@ def classify_discrete(eigs, band_set: BandSet, delta: float) -> SpectrumReport:
 def _inverse_iteration_vector(op: DiscretizedOperator, z: complex) -> np.ndarray:
     """Approximate eigenvector at an already-computed eigenvalue z.
 
-    Each solve reuses one sparse LU of A - shift, O(N) for the tridiagonal
-    models.  The shift gets a growing jitter when z sits exactly on the
-    spectrum and the factorization comes back singular.
+    Each step is one O(N) LAPACK band solve with A - shift.  The shift
+    gets a growing jitter when z sits exactly on the spectrum and the
+    factorization comes back singular.
     """
     rng = np.random.default_rng(12345)
     b = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
@@ -484,16 +499,16 @@ def _inverse_iteration_vector(op: DiscretizedOperator, z: complex) -> np.ndarray
     last_exc: Exception | None = None
     for jitter in (0.0, 1e-11, 1e-8, 1e-6):
         shift = z + jitter * (1.0 + abs(z)) * (1.0 + 1.0j)
-        v = b
+        ab, pos = _band(op, shift)
+        v = b.copy()  # a start vector in band order
         try:
-            _, lu = _shifted_lu(op, shift)
             for _ in range(_INVERSE_ITERATIONS):
-                v = lu.solve(v)
+                v = _band_solve(ab, v)
                 nrm = np.linalg.norm(v)
                 if not np.isfinite(nrm) or nrm == 0.0:
                     raise NumericalError(f"inverse iteration diverged at z={z}")
                 v = v / nrm
-            return v
+            return v[pos]
         except NumericalError as exc:
             last_exc = exc
     raise NumericalError(f"inverse iteration failed at z={z}: {last_exc}")

@@ -20,6 +20,15 @@ def three_bands():
     return bandset.validate([(1, 2), (3, 4), (6, 8)])
 
 
+def dense(op):
+    """Oracle input: the dense N x N model matrix of an operator, with both
+    couplings and both corners (0 on a box)."""
+    a = np.diag(op.diagonal) + np.diag(op.coupling, 1) + np.diag(op.coupling, -1)
+    a[-1, 0] += op.corner
+    a[0, -1] += op.corner
+    return a
+
+
 def c1_quadrature(p: float) -> float:
     """sqrt(2) ((1/2pi) int dx/(x^2+1)^p)^(1/p) by adaptive quadrature: the
     oracle for the Gamma closed form schatten.c1_constant."""

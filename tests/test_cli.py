@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,31 @@ class TestConfigHandling:
         status, result = cli.run(doc, command="spectrum", out_dir=str(tmp_path))
         assert status == EXIT_CONFIG
         assert "grid.points" in result["error"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "ltcheck"])
+    @pytest.mark.parametrize("grid", [{"length": 1e300}, {"length": 1e-170},
+                                      {"periods": 1e308}],
+                             ids=["length-huge", "length-tiny", "periods-overflow"])
+    def test_unusable_grid_exits_2_before_sampling(self, tmp_path, bands_file, monkeypatch,
+                                                   command, grid):
+        # h^2 overflows or underflows, or periods times the period is inf:
+        # refused with no float error or warning and before V0 is sampled
+        potential = cli._potential
+
+        def unsampled(cfg):
+            def refuse(x):
+                raise AssertionError("V0 sampled despite an unusable grid")
+            v0 = potential(cfg)
+            return hill.PeriodicPotential(v0.period, refuse, v0.sup_norm)
+
+        monkeypatch.setattr(cli, "_potential", unsampled)
+        doc = spectrum_config(bands_file, theorem="T1", output={})
+        doc["grid"] = {"points": 60, **grid}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, result = cli.run(doc, command=command, out_dir=str(tmp_path))
+        assert status == EXIT_CONFIG, result
+        assert re.search("length|spacing", result["error"])
 
     @pytest.mark.parametrize("command, field, value", [
         ("distort", "samples", -5),

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from bandlt import bandset, hill, ltsums, operators, schatten
 from bandlt.errors import HypothesisViolationError, NumericalError, PreconditionError
 
+from conftest import dense
+
 
 def bundle(p=2.0, v_p=1.0, v0_inf=0.0):
     return schatten.NormBundle(p=p, v_p=v_p, v0_inf=v0_inf)
@@ -317,14 +319,14 @@ def dense_schatten(m, p):
 
 
 def dense_inverse(op, z):
-    return np.linalg.inv(op.matrix.toarray() - z * np.eye(op.size))
+    return np.linalg.inv(dense(op) - z * np.eye(op.size))
 
 
 class TestLowRankResolventDifference:
     """The rank-|supp V| paths against dense inverses and full SVDs."""
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
            boundary=st.sampled_from(["dirichlet", "periodic"]),
            support=st.sampled_from(["empty", "partial", "full"]),
            p=st.floats(2.0, 5.0), shift=st.floats(0.1, 5.0))
@@ -361,6 +363,18 @@ class TestLowRankResolventDifference:
         report = operators.spectrum_report(h, bandset.validate([(0.0, 1.0)], ray_start=2.0))
         nb = schatten.norm_bundle(2.0, v, h.spacing, v0_inf=1.0)
         with pytest.raises(PreconditionError, match="grid|diagonal"):
+            ltsums.theorem1_chain(h0, h, report, nb, omega=-1.0)
+
+    def test_chain_refuses_different_couplings(self):
+        # same grid, but H - H0 has off-diagonal entries
+        v = np.zeros(40, dtype=complex)
+        v[10:20] = 0.5 + 0.5j
+        h = operators.discretize(1.0, v, 10.0, 40)
+        h0 = dataclasses.replace(operators.discretize(1.0, 0.0, 10.0, 40),
+                                 coupling=np.full(39, -1.0))
+        report = operators.spectrum_report(h, bandset.validate([(0.0, 1.0)], ray_start=2.0))
+        nb = schatten.norm_bundle(2.0, v, h.spacing, v0_inf=1.0)
+        with pytest.raises(PreconditionError, match="diagonal"):
             ltsums.theorem1_chain(h0, h, report, nb, omega=-1.0)
 
     def test_zero_potential_gives_zero_difference(self):

@@ -1,9 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +18,17 @@ from bandlt.errors import (
     ValidationError,
 )
 
+from conftest import dense
 
-def make_op(matrix, boundary="periodic"):
-    matrix = scipy.sparse.csc_array(np.asarray(matrix))
-    n = matrix.shape[0]
+
+def make_op(diagonal, coupling=0.0, boundary="periodic"):
+    """An operator on unit spacing from its diagonal and its couplings
+    (a scalar or N - 1 values); the corner stays 0."""
+    diagonal = np.asarray(diagonal)
+    n = diagonal.size
     return operators.DiscretizedOperator(
-        size=n, spacing=1.0, length=float(n + 1), boundary=boundary, matrix=matrix,
+        size=n, spacing=1.0, length=float(n + 1), boundary=boundary, diagonal=diagonal,
+        coupling=np.zeros(n - 1) + coupling, corner=0.0,
     )
 
 
@@ -29,7 +37,7 @@ class TestDiscretize:
         op = operators.discretize(0.0, 0.0, length=4.0, n=3)
         assert op.spacing == 1.0
         expect = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        assert np.array_equal(op.matrix.toarray(), expect)
+        assert np.array_equal(dense(op), expect)
         vals = np.sort(operators.eigenvalues(op).real)
         assert vals == pytest.approx([2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)])
         assert op.is_self_adjoint
@@ -54,14 +62,14 @@ class TestDiscretize:
         v0 = rng.uniform(0, 2, 8)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         op = operators.discretize(v0, v, length=9.0, n=8)
-        kinetic = operators.discretize(0.0, 0.0, length=9.0, n=8).matrix.toarray()
-        assert np.array_equal(op.matrix.toarray(), kinetic + np.diag(v0) + np.diag(v))
+        kinetic = dense(operators.discretize(0.0, 0.0, length=9.0, n=8))
+        assert np.array_equal(dense(op), kinetic + np.diag(v0) + np.diag(v))
 
     def test_periodic_corners(self):
         op = operators.discretize(0.0, 0.0, length=4.0, n=4, boundary="periodic")
         assert op.spacing == 1.0
-        assert op.matrix.toarray()[0, -1] == -1.0
-        assert op.matrix.toarray()[-1, 0] == -1.0
+        assert dense(op)[0, -1] == -1.0
+        assert dense(op)[-1, 0] == -1.0
 
     def test_negative_background_rejected(self):
         with pytest.raises(HypothesisViolationError):
@@ -70,6 +78,14 @@ class TestDiscretize:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             operators.discretize(0.0, [np.inf, 0, 0], length=4.0, n=3)
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan, 0.0, -1.0, 1e300, 1e-170],
+                             ids=["inf", "nan", "zero", "negative", "huge", "tiny"])
+    def test_unusable_length_refused(self, length):
+        # L = inf would give h = inf and couplings -0.0; h^2 overflows at
+        # 1e300 and underflows at 1e-170
+        with pytest.raises(PreconditionError, match="length|spacing"):
+            operators.discretize(0.0, 0.0, length, 5)
 
     def test_grid_positions(self):
         d = operators.discretize(0.0, 0.0, length=4.0, n=3)
@@ -80,7 +96,7 @@ class TestDiscretize:
 
 class TestEigenvalues:
     def test_diagonal_exact(self):
-        op = make_op(np.diag([1.0, 2.0 + 3.0j]))
+        op = make_op([1.0, 2.0 + 3.0j])
         vals = sorted(operators.eigenvalues(op), key=lambda z: z.real)
         assert vals[0] == 1.0
         assert vals[1] == 2.0 + 3.0j
@@ -97,14 +113,14 @@ class TestEigenvalues:
 
     def test_zero_coupling_refused(self):
         # the Aberth evaluator's transfer products divide by every coupling
-        m = np.diag([1.0 + 1j, 2.0, 3.0 + 0.5j, 4.0]) - np.diag([1.0, 0.0, 1.0], 1)
+        op = make_op([1.0 + 1j, 2.0, 3.0 + 0.5j, 4.0], [-1.0, 0.0, -1.0], "dirichlet")
         with pytest.raises(PreconditionError, match="zero coupling"):
-            operators.eigenvalues(make_op(m + np.triu(m, 1).T, "dirichlet"))
+            operators.eigenvalues(op)
 
     def test_symmetric_real_spectrum(self):
         op = operators.discretize(np.linspace(0, 1, 50), 0.0, length=51.0, n=50)
         vals = operators.eigenvalues(op)
-        assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(op.matrix.toarray()))
+        assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(dense(op)))
 
 
 def random_model(rng, n, boundary):
@@ -115,7 +131,7 @@ def random_model(rng, n, boundary):
 
 def dense_abscissa(op):
     """Oracle: smallest eigenvalue of the dense Hermitian part."""
-    a = op.matrix.toarray()
+    a = dense(op)
     return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
 
 
@@ -155,9 +171,9 @@ class TestStructuredSpectra:
         v0 = rng.uniform(0.0, 2.0, n)
         h0 = operators.discretize(v0, 0.0, 10.0, n, boundary)
         h = operators.discretize(v0, v, 10.0, n, boundary)
-        a = h.matrix.toarray()
+        a = dense(h)
         assert two_way_distance(operators.eigenvalues(h), np.linalg.eigvals(a)) <= 1e-10
-        dense_h0 = np.linalg.eigvalsh(h0.matrix.toarray())
+        dense_h0 = np.linalg.eigvalsh(dense(h0))
         assert np.allclose(operators.eigenvalues(h0), dense_h0, rtol=0, atol=1e-10)
         w1 = dense_abscissa(h)
         assert operators.numerical_range_abscissa(h) == pytest.approx(
@@ -170,7 +186,7 @@ class TestStructuredSpectra:
         op = desk_model(400, boundary)
         vals = operators.eigenvalues(op)
         assert np.array_equal(vals, vals[np.lexsort((vals.imag, vals.real))])
-        assert two_way_distance(vals, np.linalg.eigvals(op.matrix.toarray())) <= 1e-10
+        assert two_way_distance(vals, np.linalg.eigvals(dense(op))) <= 1e-10
 
     def test_ring_point_defect(self):
         # on a free ring the modes vanishing at the defect keep real
@@ -179,8 +195,8 @@ class TestStructuredSpectra:
             v = np.zeros(n, dtype=complex)
             v[n // 3] = 0.7 + 0.9j
             op = operators.discretize(0.0, v, float(n), n, "periodic")
-            dense = np.linalg.eigvals(op.matrix.toarray())
-            assert two_way_distance(operators.eigenvalues(op), dense) <= 1e-10
+            oracle = np.linalg.eigvals(dense(op))
+            assert two_way_distance(operators.eigenvalues(op), oracle) <= 1e-10
 
     def test_ring_pair_split_off_the_mirror_line(self):
         # an imaginary step on a free ring splits each degenerate pair along
@@ -189,8 +205,8 @@ class TestStructuredSpectra:
         x = operators.discretize(0.0, 0.0, length, n, "periodic").grid()
         op = operators.discretize(0.0, np.where(np.abs(x - 25.0) < 0.5, 0.8j, 0.0),
                                   length, n, "periodic")
-        dense = np.linalg.eigvals(op.matrix.toarray())
-        assert two_way_distance(operators.eigenvalues(op), dense) <= 1e-10
+        oracle = np.linalg.eigvals(dense(op))
+        assert two_way_distance(operators.eigenvalues(op), oracle) <= 1e-10
 
     def test_uncertified_roots_exit_4(self, monkeypatch, tmp_path):
         monkeypatch.setattr(operators, "_ABERTH_SWEEPS", 1)
@@ -271,7 +287,7 @@ def ratio_model(seed, n, boundary, imag):
         v = v.real + 0.5j
     op = operators.discretize(rng.uniform(0.0, 2.0, n), v,
                               rng.uniform(0.05, 0.5) * (n + 1), n, boundary)
-    m = op.matrix.toarray()
+    m = dense(op)
     ev = np.linalg.eigvals(m)
     near = ev + 10.0 ** -rng.choice([3, 6, 9], n) * (1 + abs(ev)) * np.exp(
         2j * np.pi * rng.uniform(size=n))
@@ -310,11 +326,11 @@ class TestNewtonRatio:
         # pair-sum buffer of _aberth, _PAIR_ROWS x N complex
         n = 800
         op = desk_model(n, boundary)
-        a, u = op.matrix.diagonal().astype(complex), op.matrix.diagonal(1)
+        a, u = op.diagonal.astype(complex), op.coupling
         z = operators._hermitian_spectrum(op) + 1e-3j
         tracemalloc.start()
         try:
-            ratio = operators._newton_ratio(a, u, op.matrix[n - 1, 0], z)
+            ratio = operators._newton_ratio(a, u, op.corner, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -359,7 +375,7 @@ class TestNumericalRange:
             op = random_model(rng, 12, boundary)
             w1 = operators.numerical_range_abscissa(op)
             assert w1 == pytest.approx(dense_abscissa(op), abs=1e-12)
-            assert w1 < np.min(np.linalg.eigvals(op.matrix.toarray()).real) - 1e-3
+            assert w1 < np.min(np.linalg.eigvals(dense(op)).real) - 1e-3
 
     def test_real_symmetric(self):
         op = operators.discretize(0.0, 0.0, length=4.0, n=3)
@@ -367,15 +383,15 @@ class TestNumericalRange:
 
     def test_complex_diagonal(self):
         assert operators.numerical_range_abscissa(
-            make_op(np.diag([1 + 5j, 2 - 3j]))
+            make_op([1 + 5j, 2 - 3j])
         ) == pytest.approx(1.0)
 
     def test_spectrum_inclusion(self, rng):
         for k in range(20):
             op = random_model(rng, 12, ["dirichlet", "periodic"][k % 2])
             w1 = operators.numerical_range_abscissa(op)
-            dense = np.linalg.eigvals(op.matrix.toarray())
-            assert np.min(dense.real) >= w1 - 1e-10
+            oracle = np.linalg.eigvals(dense(op))
+            assert np.min(oracle.real) >= w1 - 1e-10
             assert np.min(operators.eigenvalues(op).real) >= w1 - 1e-10
 
     def test_accretive_case(self, rng):
@@ -391,12 +407,12 @@ class TestNumericalRange:
 
 class TestResolvent:
     def test_diagonal(self):
-        op = make_op(np.diag([1.0, 2.0]))
+        op = make_op([1.0, 2.0])
         r = operators.resolvent(op, 0.0, range(2))
         assert np.allclose(r, np.diag([1.0, 0.5]))
 
     def test_at_eigenvalue_rejected(self):
-        op = make_op(np.diag([1.0, 2.0]))
+        op = make_op([1.0, 2.0])
         with pytest.raises(NumericalError, match="spectrum"):
             operators.resolvent(op, 1.0, range(2))
 
@@ -405,7 +421,7 @@ class TestResolvent:
         r = operators.resolvent(op, -1.0, range(3))
         expect = np.array([[8.0, 3.0, 1.0], [3.0, 9.0, 3.0], [1.0, 3.0, 8.0]]) / 21.0
         assert np.allclose(r, expect, atol=1e-12)
-        shifted = op.matrix.toarray() - (-1.0) * np.eye(3)
+        shifted = dense(op) - (-1.0) * np.eye(3)
         assert np.max(np.abs(shifted @ r - np.eye(3))) <= 1e-10
 
     def test_second_resolvent_identity(self, rng):
@@ -422,6 +438,32 @@ class TestResolvent:
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_against_dense_inverse(self, n, boundary):
+        # left of the numerical range |(A - z)^-1| <= 1, so absolute error
+        # is relative error
+        rng = np.random.default_rng(2000 + n)
+        op = random_model(rng, n, boundary)
+        z = operators.numerical_range_abscissa(op) - 1.0 + 0.5j
+        cols = rng.permutation(n)[:max(1, n // 2)]
+        ref = np.linalg.inv(dense(op) - z * np.eye(n))[:, cols]
+        assert np.max(np.abs(operators.resolvent(op, z, cols) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("z, cols", [
+        (math.inf, [0]), (-math.inf, [0]), (math.nan, [0]), (complex(0.0, math.inf), [0]),
+        (-1.0, [3]), (-1.0, [-1]), (-1.0, [0.5]), (-1.0, [[0]]),
+    ], ids=["+inf", "-inf", "nan", "imag-inf", "column-n", "column-minus-1",
+            "fractional-column", "nested-columns"])
+    def test_unusable_shift_or_column_refused(self, monkeypatch, z, cols):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved despite an unusable shift or column")
+
+        monkeypatch.setattr(operators, "_band_solve", refuse)
+        op = operators.discretize(0.0, 0.0, length=4.0, n=3)
+        with pytest.raises(PreconditionError, match="shift|columns"):
+            operators.resolvent(op, z, cols)
+
     def test_columns_only_memory(self):
         # 100 columns at N = 2000 must not cost a dense N x N complex array
         n, k = 2000, 100
@@ -435,8 +477,24 @@ class TestResolvent:
             tracemalloc.stop()
         assert r.shape == (n, k)
         assert peak < n * n * 16 / 8
-        shifted = op.matrix.toarray() + np.eye(n)
+        shifted = dense(op) + np.eye(n)
         assert np.max(np.abs(shifted @ r - np.eye(n)[:, cols])) <= 1e-10
+
+
+class TestInverseIteration:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_against_dense_eigenvectors(self, n, boundary):
+        # band solves in natural (box) or zigzag (ring) order give, up to a
+        # phase, the unit eigenvectors of dense LAPACK
+        op = random_model(np.random.default_rng(1000 + n), n, boundary)
+        vals, vecs = np.linalg.eig(dense(op))
+        for z in operators.eigenvalues(op):
+            v = operators._inverse_iteration_vector(op, complex(z))
+            w = vecs[:, np.argmin(abs(vals - z))]
+            phase = np.vdot(v, w)
+            assert abs(phase) == pytest.approx(1.0, abs=1e-10)
+            assert np.max(np.abs(v * phase / abs(phase) - w)) <= 1e-10
 
 
 class TestBoundaryArtifacts:
@@ -445,10 +503,7 @@ class TestBoundaryArtifacts:
         diag = np.full(n, 1.0)
         diag[0] = 5.0       # eigenvector e_0 hugs the left wall
         diag[10] = 7.0      # eigenvector e_10 is interior
-        op = operators.DiscretizedOperator(
-            size=n, spacing=1.0, length=float(n + 1), boundary="dirichlet",
-            matrix=scipy.sparse.csc_array(np.diag(diag)),
-        )
+        op = make_op(diag, boundary="dirichlet")
         I = bandset.validate([(0.5, 2.0)])
         report = operators.classify_discrete(operators.eigenvalues(op), I, delta=0.5)
         assert set(np.round(report.discrete_candidates.real, 6)) == {5.0, 7.0}
@@ -484,6 +539,19 @@ class TestWeylStability:
             far = operators.point_cloud_distance(operators.eigenvalues(hp), cloud) > 0.35
             fractions.append(far.sum() / n)
         assert fractions[1] <= 0.75 * fractions[0] + 3.0 / (80.0 / h)
+
+
+def test_no_module_loads_scipy_sparse():
+    code = ("import importlib, pkgutil, sys, bandlt\n"
+            "names = [m.name for m in pkgutil.iter_modules(bandlt.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('bandlt.' + name)\n"
+            "print(len(names), *sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    src = str(Path(operators.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True, timeout=120)
+    count, *sparse = out.stdout.split()
+    assert int(count) >= 8 and sparse == []
 
 
 def test_point_cloud_distance():

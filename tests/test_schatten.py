@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bandlt import bandset, ltsums, operators, schatten
 from bandlt.errors import PreconditionError, ValidationError
 
-from conftest import c1_quadrature
+from conftest import c1_quadrature, dense
 
 
 class TestSchattenNorm:
@@ -189,7 +189,7 @@ class TestWSmallness:
         top = min(operators.numerical_range_abscissa(h), 0.0)
         for shift in (0.5, 3.0):
             h0, chain = self.chain(v0, v, 8.0, 3.0, 1.0, top - shift)
-            w = v[:, None] * np.linalg.inv(h0.matrix.toarray() - chain.omega * np.eye(n))
+            w = v[:, None] * np.linalg.inv(dense(h0) - chain.omega * np.eye(n))
             op_norm = float(np.linalg.norm(w, 2))
             assert 0.0 < op_norm <= chain.link3_w_norm * (1.0 + 1e-12)
 
