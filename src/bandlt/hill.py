@@ -21,8 +21,9 @@ with metadata on the resolution used.  A gap needs
 rounding at a closed gap opens none.
 
 The monodromy is integrated with fixed-step classical Runge-Kutta, in
-blocks of steps that run side by side (see ``_monodromy_batch``).  The
-step count grows with the total phase sqrt(E)*T so that the Wronskian
+blocks of about steps^(1/3) steps that run side by side, and the block
+matrices are multiplied in a prefix scan (see ``_monodromy_batch``).
+The step count grows with the total phase sqrt(E)*T so that the Wronskian
 (det of the monodromy) stays within 1e-10 of 1 and the trace error stays
 below the edge tolerance; see ``default_steps``.
 """
@@ -49,7 +50,7 @@ _DEGENERATE_GAP = 1e-8
 _PROBE_POINTS = 2048
 _MAX_STEPS = 50_000  # RK4 steps per sweep; Mathieu q = 2 to e_max 30 needs 7211
 _CHUNK = 8192  # blocks x energies per integration chunk; caps the RK4 arrays
-_LANES = 20  # energies a sweep may look ahead with; at 3954 steps 20 cost 1.9x one
+_LANES = 8  # energies a sweep may look ahead with; at 3954 steps 8 cost 1.8x one
 
 
 @dataclass(frozen=True)
@@ -148,20 +149,36 @@ def default_steps(energy: float, period: float) -> int:
     return max(1000, int(math.ceil(80.0 * phase ** 1.25)))
 
 
+def _block_steps(steps: int) -> int:
+    """RK4 steps per block, L = round(steps^(1/3)), whatever the batch.
+
+    A sweep takes L RK4 iterations and about 2 log2(steps / L) scan
+    rounds, and its scan does about 2 steps / L block products per
+    energy.  Sweeps of 1 to 16 energies cost about the same for L from
+    half to 1.5 times this (8 to 24 at 3954 steps), and blocks of
+    sqrt(steps) steps multiplied in order cost about 3 times as much for
+    one energy.
+    """
+    return round(steps ** (1.0 / 3.0))
+
+
 def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
                      steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Fundamental matrices (2,2,nE) and Dirichlet counts (nE,) at once.
 
     Columns start from (1,0) and (0,1).  The ``steps`` RK4 steps are split
-    into B = ceil(steps/L) consecutive blocks of L = ceil(sqrt(steps)).
+    into B = ceil(steps/L) consecutive blocks of L = ``_block_steps``.
     Iteration j of one pass advances both columns of every block from the
     identity by the block's step b*L + j (the short last block drops out
-    once done); the B block matrices are then multiplied in order.  A
-    sweep is about L + B Python iterations per chunk of ``_CHUNK // B``
-    energies, and the chunk caps the arrays whatever the batch size.  L
-    and B depend only on ``steps`` and every operation is elementwise in
-    E, so an energy's monodromy has the same bits alone and inside any
-    batch.  The Wronskian det = 1 is checked on the result.
+    once done); a prefix scan then forms the product of every block with
+    all blocks before it.  A sweep is about L + 2 log2(B) Python
+    iterations per chunk of ``_CHUNK // B`` energies (16 + 14 per 33 at
+    3954 steps), and the chunk caps the arrays whatever the batch size.
+    Past a chunk the element work dominates, and it grows with B: the
+    scan does 2B products per energy.  L, B and the scan depend only on
+    ``steps`` and every operation is elementwise in E, so an energy's
+    monodromy has the same bits alone and inside any batch.  The
+    Wronskian det = 1 is checked on the result.
 
     The count is the number of sign changes of y2 = m[0, 1] at the block
     ends.  It is the number of zeros of y2 in (0, T) while a block is
@@ -182,13 +199,12 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
     if not (np.all(np.isfinite(v_node)) and np.all(np.isfinite(v_mid))):
         raise NumericalError("potential produced non-finite samples")
 
-    L = math.isqrt(steps - 1) + 1
+    L = _block_steps(steps)
     B = -(-steps // L)
-
-    def by_block(v):  # row j holds sample b*L + j of every block b
-        return np.pad(v, (0, B * L - steps)).reshape(B, L).T.copy()
-
-    samples = by_block(v_node[:-1]), by_block(v_mid), by_block(v_node[1:])
+    # row j holds step b*L + j of every block b; past the last step, a
+    # repeat of it that the short last block never reads
+    at = np.minimum(np.arange(B * L).reshape(B, L).T, steps - 1)
+    samples = v_node[at], v_mid[at], v_node[at + 1]
     tail = steps - (B - 1) * L
     width = _CHUNK // B
     out = np.empty((2, 2, E.size))
@@ -212,8 +228,34 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
 
 
 def _monodromy_chunk(samples, h, tail, E):
-    """Block RK4 pass and ordered block product for one chunk of energies;
-    returns the monodromy and the sign changes of y2 at the block ends.
+    """Monodromy and sign changes of y2 at the block ends for one chunk of
+    energies: the matrices of ``_block_matrices``, multiplied in a prefix
+    scan that leaves the product of every block with all blocks before it.
+
+    The scan is Brent and Kung's.  Rounds with offset d = 1, 2, 4, ...
+    multiply each block b with 2d dividing b + 1 by the product ending at
+    b - d, which makes it the product of the 2d blocks ending at b; rounds
+    with d = ..., 2, 1 then multiply each block b with b + 1 an odd
+    multiple of d, above 2d, by the prefix ending at b - d, which an
+    earlier round completed.  That is about 2 log2(B) rounds and 2B
+    products of 2x2 matrices.  A scan that updates every block in each of
+    log2(B) rounds takes B log2(B) products; at 3954 steps it was within
+    8% of this one up to 12 energies, and 16% slower at 20 and 33% at 64.
+    """
+    p = _block_matrices(samples, h, tail, E)
+    B = p.shape[2]
+    up = [1 << k for k in range(B.bit_length() - 1)]  # every d with 2d <= B
+    for start, d in ([(2 * d - 1, d) for d in up]
+                     + [(3 * d - 1, d) for d in reversed(up) if 3 * d <= B]):
+        a, b = p[:, :, start::2 * d], p[:, :, start - d:B - d:2 * d]
+        a[...] = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
+    neg = p[0, 1] < 0.0  # y2 at every block end; it leaves 0 upwards
+    return p[:, :, -1], neg[0] + np.count_nonzero(neg[1:] != neg[:-1], axis=0)
+
+
+def _block_matrices(samples, h, tail, E):
+    """Block RK4 pass for one chunk of energies: the (2,2,B,nE) matrices
+    that advance (y, y') over each block.
 
     ``samples`` are the (L, B) node, midpoint and next-node potential
     tables; the last block has ``tail`` steps.  Each step is classical RK4
@@ -231,10 +273,10 @@ def _monodromy_chunk(samples, h, tail, E):
     w = np.zeros((2, B, E.size))
     y[0] = 1.0
     w[1] = 1.0
-    done = []
+    p = np.empty((2, 2, B, E.size))
     for j in range(L):
         if j == tail:
-            done.append(np.stack([y[:, -1], w[:, -1]]))
+            p[0, :, -1], p[1, :, -1] = y[:, -1], w[:, -1]
             y, w = y[:, :-1], w[:, :-1]
         nb = y.shape[1]
         c0 = v_node[j, :nb, None] - E
@@ -251,17 +293,8 @@ def _monodromy_chunk(samples, h, tail, E):
         k2y *= 2.0; k2y += w; k3y *= 2.0; k2y += k3y; k2y += k4y; k2y *= h6; k2y += y
         k2w *= 2.0; k2w += k1w; k3w *= 2.0; k2w += k3w; k2w += k4w; k2w *= h6; k2w += w
         y, w = k2y, k2w
-
-    blocks = list(np.stack([y, w]).transpose(2, 0, 1, 3)) + done
-    m = blocks[0]
-    neg = m[0, 1] < 0.0  # y2 leaves 0 upwards
-    count = neg.astype(int)
-    for p in blocks[1:]:
-        m = p[:, 0, None] * m[0] + p[:, 1, None] * m[1]
-        now = m[0, 1] < 0.0
-        count += neg != now
-        neg = now
-    return m, count
+    p[0, :, :nb], p[1, :, :nb] = y, w
+    return p
 
 
 def _gap_side(m):
