@@ -229,7 +229,7 @@ def perturbation_samples(spec: dict, x: np.ndarray, coupling: float = 1.0) -> np
 def _band_set(cfg: Cfg, v0: hill.PeriodicPotential | None = None,
               ) -> tuple[bandset.BandSet, dict]:
     """The ``bands`` section: a band-set JSON file, or the Hill band set up
-    to ``e_max``, its only field (edges bracketed by the Dirichlet count)."""
+    to ``e_max``, its only field (edges bracketed by their count)."""
     bands_cfg = cfg.sub("bands")
     if bands_cfg.has("file"):
         path = bands_cfg.string("file", required=True)
@@ -590,8 +590,11 @@ def run(config: dict, command: str | None = None, seed: int | None = None,
         cmd = command or cfg.string("command", choices=COMMANDS)
         if cmd is None:
             raise ConfigError("missing 'command' (or pass one on the CLI)")
+        # numpy's generators take no negative seed, from a key or from --seed
         if seed is None:
-            seed = cfg.integer("seed", default=None)
+            seed = cfg.integer("seed", default=None, lo=0)
+        else:
+            seed = Cfg({"--seed": seed}).integer("--seed", lo=0)
         outputs = _outputs(cfg, Path(out_dir) if out_dir else None)
         result = _DISPATCH[cmd](cfg, seed, outputs)
         return 0, result

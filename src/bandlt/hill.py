@@ -1,37 +1,50 @@
 """Band spectrum of a periodic Schrodinger operator -y'' + V0(x) y = E y.
 
-The trace D(E) of the period monodromy matrix decides membership: E
-belongs to the spectrum exactly when |D(E)| <= 2.  Every sweep also
-returns the Dirichlet count N(E), the number of zeros in (0, T) of the
-solution with y(0) = 0 and y'(0) = 1; by Sturm oscillation theory it is
-the number of Dirichlet eigenvalues nu_k below E, and nu_k lies in the
-k-th closed gap (Magnus and Winkler, *Hill's Equation*, 1966).
+The band edges are the periodic and antiperiodic eigenvalues.  Their
+number below E, counted with multiplicity, is c(E): E lies in a band
+exactly when c(E) is odd, and the k-th edge is where c reaches k.
+
+For an even V0 (``PeriodicPotential.even``: ``cosine``, ``free`` and a
+symmetric ``from_samples``) a sweep integrates y1 and y2, from (1, 0)
+and (0, 1), over half the period only, a = T/2.  With D the trace of
+the period monodromy, D - 2 = 4 y1'(a) y2(a) and D + 2 = 4 y1(a) y2'(a)
+(Magnus and Winkler, *Hill's Equation*, 1966, ch. 1), so every edge is
+a simple zero of one of these four entries: an eigenvalue of one of
+four Sturm-Liouville problems on [0, a] with Neumann or Dirichlet ends.
+c(E) is the sum of their four counts, which is floor(2 theta / pi)
+summed over both columns, theta the Prufer angle of the column at a:
+twice its zeros in (0, a], plus one where y y' < 0.  No difference of
+nearly equal numbers enters, so a gap is found down to the edge
+tolerance however close |D| stays to 2.  For any other V0 a sweep
+integrates the whole period and c comes from the verdict |D| > 2,
+confirmed by D^2 - 4 taken from the entries (``_gap_side``), and the
+Dirichlet count N(E), the zeros of y2 in (0, T): the Dirichlet
+eigenvalue nu_k lies in the k-th closed gap (Magnus and Winkler).
+
 ``band_edges_report`` runs one loop over neighbouring swept energies
-(``_sweep``): each round adds, in one batch, an energy inside every pair
-that holds a Dirichlet eigenvalue of a gap no energy lies in yet, or
-whose gap verdicts differ.  That energy is the midpoint, or an Illinois
-regula falsi step on |D| - 2 where the pair isolates one band edge.  A
+(``_sweep``): each round adds, in one batch, an energy inside every
+pair whose ends have different counts.  That energy is the midpoint,
+or an Illinois regula falsi step where the pair isolates one edge.  A
 sweep of up to ``_LANES`` energies costs less than two sweeps of one,
 so each sweep also integrates the midpoints the next bisection rounds
-can take, and runs those rounds without a new sweep.  The
-runs of in-band energies are the bands of a validated
+can take, and runs those rounds without a new sweep.  The runs of
+in-band energies are the bands of a validated
 :class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes,
-with metadata on the resolution used.  A gap needs
-|D| > 2 confirmed by D^2 - 4 taken from the entries (``_gap_side``), so
-rounding at a closed gap opens none.
+with metadata on the resolution used.
 
-The monodromy is integrated with fixed-step classical Runge-Kutta, in
+The solutions are integrated with fixed-step classical Runge-Kutta, in
 blocks of about steps^(1/3) steps that run side by side, and the block
 matrices are multiplied in a prefix scan (see ``_monodromy_batch``).
 The step count grows with the total phase sqrt(E)*T so that the Wronskian
-(det of the monodromy) stays within 1e-10 of 1 and the trace error stays
-below the edge tolerance; see ``default_steps``.
+stays within 1e-10 of 1 and the trace error stays below the edge
+tolerance; see ``default_steps``.  The potential tables of a report are
+built once (``_grid``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,7 +61,7 @@ from .errors import (
 _EDGE_TOL = 1e-10
 _DEGENERATE_GAP = 1e-8
 _PROBE_POINTS = 2048
-_MAX_STEPS = 50_000  # RK4 steps per sweep; Mathieu q = 2 to e_max 30 needs 7211
+_MAX_STEPS = 50_000  # RK4 steps per period; Mathieu q = 2 to e_max 30 needs 7211
 _CHUNK = 8192  # blocks x energies per integration chunk; caps the RK4 arrays
 _LANES = 8  # energies a sweep may look ahead with; at 3954 steps 8 cost 1.8x one
 
@@ -59,11 +72,15 @@ class PeriodicPotential:
 
     ``evaluate`` maps an array of positions to potential values; it must
     be period-``period`` (checked on a probe grid at construction).
+    ``even`` records V0(x) = V0(-x), which ``cosine``, ``free`` and
+    ``from_samples`` know exactly; the band edges of an even V0 take half
+    the integration.
     """
 
     period: float
     evaluate: Callable[[np.ndarray], np.ndarray]
     sup_norm: float
+    even: bool = False
 
 
 def _check_values(vals: np.ndarray) -> None:
@@ -77,9 +94,14 @@ def _check_values(vals: np.ndarray) -> None:
 
 
 def _check_period(period: float) -> None:
-    """Refuse a period that is not a positive finite float, before it is used."""
-    if not 0.0 < period < math.inf:
-        raise ValidationError(f"period must be positive and finite; got {period}")
+    """Refuse, before it is used, a period that is not a positive finite
+    float, or whose probe grid (up to twice the period) or wave number
+    2 pi / period overflows."""
+    if not (0.0 < period < math.inf and 2.0 * period < math.inf
+            and 2.0 * math.pi / period < math.inf):
+        raise ValidationError(
+            f"period must be positive and finite, with 2 period and 2 pi / period "
+            f"finite; got {period}")
 
 
 def from_callable(f, period: float, sup_norm: float | None = None) -> PeriodicPotential:
@@ -98,23 +120,26 @@ def from_callable(f, period: float, sup_norm: float | None = None) -> PeriodicPo
 
 def free(period: float = 1.0) -> PeriodicPotential:
     """The zero potential; spectrum is [0, inf) with all gaps closed."""
-    return from_callable(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                         period, sup_norm=0.0)
+    return replace(from_callable(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                                 period, sup_norm=0.0), even=True)
 
 
 def cosine(q: float, period: float = 2.0 * math.pi) -> PeriodicPotential:
     """V0(x) = q (1 + cos(2 pi x / period)), nonnegative for q >= 0."""
     if q < 0:
         raise HypothesisViolationError("cosine amplitude q must be >= 0")
+    if not 2.0 * q < math.inf:  # its sup norm; NaN fails too
+        raise ValidationError(f"cosine amplitude q must have 2 q finite; got {q}")
     _check_period(period)
     w = 2.0 * math.pi / period
-    return from_callable(lambda x: q * (1.0 + np.cos(w * np.asarray(x, dtype=float))),
-                         period, sup_norm=2.0 * q)
+    return replace(from_callable(lambda x: q * (1.0 + np.cos(w * np.asarray(x, dtype=float))),
+                                 period, sup_norm=2.0 * q), even=True)
 
 
 def from_samples(values, period: float) -> PeriodicPotential:
     """Potential from uniform samples on one period, linearly interpolated;
-    its extremes are at the samples, so V0 >= 0 and the sup norm are too."""
+    its extremes are at the samples, so V0 >= 0 and the sup norm are too.
+    It is even when values[k] == values[-k mod n] for every k."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 2:
         raise ValidationError("need a 1D array of at least two samples")
@@ -127,11 +152,13 @@ def from_samples(values, period: float) -> PeriodicPotential:
     def evaluate(x):
         return np.interp(np.mod(np.asarray(x, dtype=float), period), xs_wrap, vals_wrap)
 
-    return from_callable(evaluate, period, sup_norm=float(np.max(np.abs(vals))))
+    return replace(from_callable(evaluate, period, sup_norm=float(np.max(np.abs(vals)))),
+                   even=bool(np.array_equal(vals, np.roll(vals[::-1], 1))))
 
 
 def default_steps(energy: float, period: float) -> int:
-    """Step count keeping det within 1e-10 and trace error below ~1e-9.
+    """Step count over one period keeping det within 1e-10 and trace
+    error below ~1e-9.
 
     Classical RK4 on the oscillatory system drifts the Wronskian by about
     (phase/n)^6/72 per step and the phase by (phase/n)^5/120, with
@@ -140,6 +167,7 @@ def default_steps(energy: float, period: float) -> int:
     """
     if not math.isfinite(energy):
         raise PreconditionError(f"energy {energy} is not finite")
+    _check_period(period)
     phase = math.sqrt(max(energy, 0.0)) * period
     if phase > (_MAX_STEPS / 80.0) ** 0.8:
         raise PreconditionError(
@@ -162,56 +190,75 @@ def _block_steps(steps: int) -> int:
     return round(steps ** (1.0 / 3.0))
 
 
-def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
-                     steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Fundamental matrices (2,2,nE) and Dirichlet counts (nE,) at once.
+@dataclass(frozen=True)
+class _Grid:
+    """The potential tables of one report: ``steps`` RK4 steps of ``h``
+    over the first half of the period (``half``) or over all of it, as
+    the (L, B) node, midpoint and next-node tables of ``_block_matrices``."""
 
-    Columns start from (1,0) and (0,1).  The ``steps`` RK4 steps are split
-    into B = ceil(steps/L) consecutive blocks of L = ``_block_steps``.
-    Iteration j of one pass advances both columns of every block from the
-    identity by the block's step b*L + j (the short last block drops out
-    once done); a prefix scan then forms the product of every block with
-    all blocks before it.  A sweep is about L + 2 log2(B) Python
-    iterations per chunk of ``_CHUNK // B`` energies (16 + 14 per 33 at
-    3954 steps), and the chunk caps the arrays whatever the batch size.
-    Past a chunk the element work dominates, and it grows with B: the
-    scan does 2B products per energy.  L, B and the scan depend only on
-    ``steps`` and every operation is elementwise in E, so an energy's
-    monodromy has the same bits alone and inside any batch.  The
-    Wronskian det = 1 is checked on the result.
+    samples: tuple
+    h: float
+    steps: int
+    half: bool
 
-    The count is the number of sign changes of y2 = m[0, 1] at the block
-    ends.  It is the number of zeros of y2 in (0, T) while a block is
-    shorter than their spacing pi / sqrt(E - min V0), which holds for
-    every E up to the energy ``default_steps`` sized ``steps`` for.
+
+def _grid(V0: PeriodicPotential, steps: int, half: bool) -> _Grid:
+    """Tables for ``steps`` RK4 steps over the period, or for ceil(steps/2)
+    steps of about the same spacing over its first half when ``half``.
+
+    Row j of a table holds step b*L + j of every block b; past the last
+    step, a repeat of it that the short last block never reads.
     """
-    E = np.atleast_1d(np.asarray(energies, dtype=float))
-    if not np.all(np.isfinite(E)):
-        raise PreconditionError(f"energy {E[~np.isfinite(E)][0]} is not finite")
-    if steps is None:
-        steps = default_steps(float(np.max(E)), V0.period)
     if steps < 100:
         raise PreconditionError("steps must be >= 100")
-    h = V0.period / steps
+    if half:
+        steps = -(-steps // 2)
+    h = (0.5 * V0.period if half else V0.period) / steps
     x = np.arange(steps + 1) * h
     v_node = np.asarray(V0.evaluate(x), dtype=float)
     v_mid = np.asarray(V0.evaluate(x[:-1] + 0.5 * h), dtype=float)
     if not (np.all(np.isfinite(v_node)) and np.all(np.isfinite(v_mid))):
         raise NumericalError("potential produced non-finite samples")
-
     L = _block_steps(steps)
     B = -(-steps // L)
-    # row j holds step b*L + j of every block b; past the last step, a
-    # repeat of it that the short last block never reads
     at = np.minimum(np.arange(B * L).reshape(B, L).T, steps - 1)
-    samples = v_node[at], v_mid[at], v_node[at + 1]
-    tail = steps - (B - 1) * L
+    return _Grid((v_node[at], v_mid[at], v_node[at + 1]), h, steps, half)
+
+
+def _monodromy_batch(grid: _Grid, energies) -> tuple[np.ndarray, np.ndarray]:
+    """Fundamental matrices (2,2,nE) at the end of the grid's span, and
+    the zeros (2,nE) of y1 and y2 in it, for all energies at once.
+
+    Columns start from (1,0) and (0,1).  The ``grid.steps`` RK4 steps are
+    split into B = ceil(steps/L) consecutive blocks of L = ``_block_steps``.
+    Iteration j of one pass advances both columns of every block from the
+    identity by the block's step b*L + j (the short last block drops out
+    once done); a prefix scan then forms the product of every block with
+    all blocks before it.  A sweep is about L + 2 log2(B) Python
+    iterations per chunk of ``_CHUNK // B`` energies (13 + 13 per 53 at
+    the 1977 half-period steps of q = 2 to e_max 9), and the chunk caps
+    the arrays whatever the batch size.  Past a chunk the element work
+    dominates, and it grows with B: the scan does 2B products per energy.
+    L, B and the scan depend only on the grid and every operation is
+    elementwise in E, so an energy's matrix has the same bits alone and
+    inside any batch.  The Wronskian det = 1 is checked on the result.
+
+    The zeros are the sign changes of y1 = m[0, 0] and y2 = m[0, 1] at
+    the block ends.  They are all the zeros in the span while a block is
+    shorter than their spacing pi / sqrt(E - min V0), which holds for
+    every E up to the energy ``default_steps`` sized the steps for.
+    """
+    E = np.atleast_1d(np.asarray(energies, dtype=float))
+    if not np.all(np.isfinite(E)):
+        raise PreconditionError(f"energy {E[~np.isfinite(E)][0]} is not finite")
+    L, B = grid.samples[0].shape
+    tail = grid.steps - (B - 1) * L
     width = _CHUNK // B
     out = np.empty((2, 2, E.size))
-    count = np.empty(E.size, dtype=int)
+    zeros = np.empty((2, E.size), dtype=int)
     for k in range(0, E.size, width):
-        out[:, :, k:k + width], count[k:k + width] = _monodromy_chunk(
-            samples, h, tail, E[k:k + width])
+        out[:, :, k:k + width], zeros[:, k:k + width] = _monodromy_chunk(
+            grid.samples, grid.h, tail, E[k:k + width])
 
     dets = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
     # below the spectrum the entries grow like exp(sqrt(V-E) T), and the
@@ -224,13 +271,14 @@ def _monodromy_batch(V0: PeriodicPotential, energies: np.ndarray,
             f"Wronskian drifted {worst:.1f}x beyond the scaled tolerance; "
             "integration under-resolved"
         )
-    return out, count
+    return out, zeros
 
 
 def _monodromy_chunk(samples, h, tail, E):
-    """Monodromy and sign changes of y2 at the block ends for one chunk of
-    energies: the matrices of ``_block_matrices``, multiplied in a prefix
-    scan that leaves the product of every block with all blocks before it.
+    """Fundamental matrix and sign changes of y1 and y2 at the block ends
+    for one chunk of energies: the matrices of ``_block_matrices``,
+    multiplied in a prefix scan that leaves the product of every block
+    with all blocks before it.
 
     The scan is Brent and Kung's.  Rounds with offset d = 1, 2, 4, ...
     multiply each block b with 2d dividing b + 1 by the product ending at
@@ -249,8 +297,8 @@ def _monodromy_chunk(samples, h, tail, E):
                      + [(3 * d - 1, d) for d in reversed(up) if 3 * d <= B]):
         a, b = p[:, :, start::2 * d], p[:, :, start - d:B - d:2 * d]
         a[...] = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
-    neg = p[0, 1] < 0.0  # y2 at every block end; it leaves 0 upwards
-    return p[:, :, -1], neg[0] + np.count_nonzero(neg[1:] != neg[:-1], axis=0)
+    neg = p[0] < 0.0  # y1 and y2 at every block end; both leave 0 at or above it
+    return p[:, :, -1], neg[:, 0] + np.count_nonzero(neg[:, 1:] != neg[:, :-1], axis=1)
 
 
 def _block_matrices(samples, h, tail, E):
@@ -262,9 +310,11 @@ def _block_matrices(samples, h, tail, E):
     with k1 = (w, c0 y), k2 = (w + h/2 k1w, cm (y + h/2 k1y)), k3 likewise
     from k2, k4 = (w + h k3w, c1 (y + h k3y)) and the update
     y + h/6 (((k1 + 2 k2) + 2 k3) + k4).  Each stage is built in place in
-    an array that is no longer needed; only the order of the two operands
-    of a + or * changes, never the grouping, so the bits are those of the
-    written-out expressions.
+    an array that is no longer needed, and each sum of the update starts
+    as soon as its terms exist, so at most seven (2, B, nE) arrays are
+    live; the block matrices are allocated once the pass is done.  Only
+    the order of the two operands of a + or * changes, never the
+    grouping, so the bits are those of the written-out expressions.
     """
     v_node, v_mid, v_next = samples
     L, B = v_node.shape
@@ -273,27 +323,36 @@ def _block_matrices(samples, h, tail, E):
     w = np.zeros((2, B, E.size))
     y[0] = 1.0
     w[1] = 1.0
-    p = np.empty((2, 2, B, E.size))
+    last = None  # the short last block's matrix, once it is done
     for j in range(L):
         if j == tail:
-            p[0, :, -1], p[1, :, -1] = y[:, -1], w[:, -1]
+            last = y[:, -1].copy(), w[:, -1].copy()
             y, w = y[:, :-1], w[:, :-1]
         nb = y.shape[1]
-        c0 = v_node[j, :nb, None] - E
         cm = v_mid[j, :nb, None] - E
-        c1 = v_next[j, :nb, None] - E
-        k1w = c0 * y  # k1y is w
+        k1w = (v_node[j, :nb, None] - E) * y  # k1y is w
         k2y = hh * k1w; k2y += w
         k2w = hh * w; k2w += y; k2w *= cm
         k3y = hh * k2w; k3y += w
+        k2w *= 2.0; k2w += k1w  # the w update from here on
+        del k1w
         k3w = hh * k2y; k3w += y; k3w *= cm
+        del cm
+        k2y *= 2.0; k2y += w  # the y update from here on
         k4y = h * k3w; k4y += w
-        k4w = h * k3y; k4w += y; k4w *= c1
-        # the updates are built in k2
-        k2y *= 2.0; k2y += w; k3y *= 2.0; k2y += k3y; k2y += k4y; k2y *= h6; k2y += y
-        k2w *= 2.0; k2w += k1w; k3w *= 2.0; k2w += k3w; k2w += k4w; k2w *= h6; k2w += w
+        k3w *= 2.0; k2w += k3w
+        del k3w
+        k4w = h * k3y; k4w += y; k4w *= v_next[j, :nb, None] - E
+        k3y *= 2.0; k2y += k3y
+        del k3y
+        k2y += k4y; k2y *= h6; k2y += y
+        k2w += k4w; k2w *= h6; k2w += w
         y, w = k2y, k2w
+        del k4y, k4w
+    p = np.empty((2, 2, B, E.size))
     p[0, :, :nb], p[1, :, :nb] = y, w
+    if last is not None:
+        p[0, :, -1], p[1, :, -1] = last
     return p
 
 
@@ -305,39 +364,68 @@ def _gap_side(m):
     2 by up to 4e-13 on a window about 4 sqrt(1e-13 nu_k) / T wide
     (8.7e-3 at nu_1 for T = 0.01); the entry form has no cancellation
     there and stays below 1e-30 on free potentials of period 0.01 to
-    2 pi.  The narrowest gap that D resolves on the reference configs
-    (q = 0.3, E = 6.55, 2.6e-7 wide) has D^2 - 4 = 1.1e-13.
+    2 pi.
     """
     d = m[0, 0] + m[1, 1]
     disc = (m[0, 0] - m[1, 1]) ** 2 + 4.0 * m[0, 1] * m[1, 0]
     return np.where((np.abs(d) > 2.0) & (disc > _EDGE_TOL ** 2), np.sign(d), 0.0)
 
 
-def _sweep(V0, e_max, steps):
-    """Swept energies, sorted, ``_gap_side`` at them, and how many energies
-    were integrated.
+def _evaluate(grid: _Grid, E: np.ndarray):
+    """Matrices (2,2,nE), c(E) and the quarter turns of y1's Prufer angle
+    (even V0 only; 0 otherwise) at the energies E.
 
-    A swept E in a gap with count n lies in gap n when sign D = (-1)^n
-    and in gap n + 1 otherwise (gap 0 lies below the spectrum), because
-    nu_n < E <= nu_(n+1) and D has sign (-1)^k in gap k.  V0 >= 0 puts
-    every E < 0 in gap 0, so it gets +1 whatever rounding makes of D
-    (at tiny periods D - 2 ~ |E| T^2 drowns in it).  The first sweep
-    is E = -1 and e_max, so K = N(e_max) gaps hold a nu_k below e_max.
-    Each later round adds, in one batch, one energy inside every pair of
-    neighbouring energies that (a) holds nu_k of a gap k <= K that no
-    energy lies in yet and is wider than 1e-10 (1 + |E|), or (b) has two
-    different verdicts and is wider than the edge tolerance and four
-    float spacings.  A pair narrower than gap k reaches into it; one
-    that stops at width (a) marks a closed gap.
+    V0 >= 0 puts every E < 0 below the spectrum, so it gets c = 0 and NaN
+    entries and is not integrated (at tiny periods D - 2 ~ |E| T^2 drowns
+    in rounding, and over long periods its entries would overflow).  On
+    the full period, an E in a band with Dirichlet count n lies in band
+    n + 1, as nu_n < E <= nu_(n+1), and c = 2n + 1; one in a gap lies in
+    gap n when sign D = (-1)^n and in gap n + 1 otherwise, as D has sign
+    (-1)^k in gap k, and c is twice that.
+    """
+    m = np.full((2, 2, E.size), np.nan)
+    zeros = np.zeros((2, E.size), dtype=int)
+    up = E >= 0.0
+    if np.any(up):
+        m[:, :, up], zeros[:, up] = _monodromy_batch(grid, E[up])
+    if grid.half:
+        turns = 2 * zeros + (m[0] * m[1] < 0.0)  # floor(2 theta / pi); NaN compares false
+        return m, turns.sum(axis=0), turns[0]
+    n, side = zeros[1], _gap_side(m)
+    c = np.where(side == 0.0, 2 * n + 1, 2 * (n + ((side > 0.0) == (n % 2 == 1))))
+    return m, np.where(up, c, 0), np.zeros_like(c)
 
-    The new energy is the midpoint, except in a pair at E >= 0 that
-    isolates one edge: one end in a band with count n_b, the other in
-    gap n_b or n_b + 1.  There g = s D - 2, with s the sign of D at the
-    gap end, changes sign once, and the step is Illinois regula falsi
-    on g: the older end's g is weighted by 2^-(c - 1), c the number of
-    sweeps between the ages of the two ends.  Such a pair takes at most
-    as many of these steps as bisection needs from the width where it
-    first takes one, and then bisects.
+
+def _crossing(grid: _Grid, m, c, turns, i):
+    """A function with one simple zero, at the edge, between the ends i and
+    i + 1 of pairs that isolate one edge (c[i + 1] = c[i] + 1), at both
+    ends.  Even V0: the entry whose Prufer count rose, y where it reaches
+    an even count of quarter turns and y' where it reaches an odd one.
+    Otherwise s D - 2, s = (-1)^k the sign of D in gap k of the gap end,
+    k = c[i + 1] // 2."""
+    j = i + 1
+    if grid.half:
+        col = (turns[j] == turns[i]).astype(int)  # y1's count rose, or y2's
+        row = np.where(col == 0, turns[j], c[j] - turns[j]) % 2
+        return m[row, col, i], m[row, col, j]
+    s = 1.0 - 2.0 * (c[j] // 2 % 2)
+    return s * (m[0, 0, i] + m[1, 1, i]) - 2.0, s * (m[0, 0, j] + m[1, 1, j]) - 2.0
+
+
+def _sweep(grid: _Grid, e_max: float):
+    """Swept energies, sorted, c(E) at them, and how many energies were
+    integrated.
+
+    The first sweep is E = -1 and e_max.  Each later round adds, in one
+    batch, one energy inside every pair of neighbouring energies whose
+    counts c differ and that is wider than the edge tolerance and four
+    float spacings.  The new energy is the midpoint, except in a pair at
+    E >= 0 that isolates one edge, c rising by one from its lower end to
+    its upper end.  There the step is Illinois regula falsi on the
+    function g of ``_crossing``: the older end's g is weighted by
+    2^-(c - 1), c the number of sweeps between the ages of the two ends.
+    Such a pair takes at most as many of these steps as bisection needs
+    from the width where it first takes one, and then bisects.
 
     A sweep runs the first round for every pair and, for the pairs it
     bisects, sweeps ahead: it also integrates the midpoints of their
@@ -350,7 +438,7 @@ def _sweep(V0, e_max, steps):
     edge takes its midpoint if it is there and otherwise waits for the
     next sweep; midpoints no round takes are dropped, but count among
     the integrated energies returned with the swept ones.  So the pairs
-    that find the gaps take exactly the energies of plain bisection,
+    that find the edges take exactly the energies of plain bisection,
     round for round, only in fewer sweeps.  A pair that needs no work
     never needs it again, every sweep halves each open pair or gives it
     one of its steps, and a pair's first step comes after it was halved
@@ -359,41 +447,28 @@ def _sweep(V0, e_max, steps):
     """
     cap = 2 * (1 + math.ceil(math.log2((e_max + 1.0) / _EDGE_TOL)))
     e = np.array([-1.0, float(e_max)])
-    m, n = _monodromy_batch(V0, e, steps)
-    d = m[0, 0] + m[1, 1]
-    side = np.where(e < 0.0, 1.0, _gap_side(m))
+    m, c, turns = _evaluate(grid, e)
     age = np.zeros(2, dtype=int)  # the sweep that added each energy
     until = np.full(2, -1)  # last sweep its pair may step at; -1 before its first step
-    K = int(n[-1])
-    seen = np.zeros(K + 2, dtype=bool)
 
     def pairs():
         """Left ends of the pairs that need work, which of them isolate one
-        edge, and their stop widths; marks the gaps that hold an energy."""
-        gap = n + ((side > 0.0) == (n % 2 == 1))
-        seen[np.minimum(gap[side != 0.0], K + 1)] = True
-        unseen = np.cumsum(~seen[:K + 1])  # unseen[k]: gaps 0..k holding no energy
+        edge, and their stop widths."""
         lo, hi = e[:-1], e[1:]
-        holds = unseen[np.minimum(n[1:], K)] > unseen[np.minimum(n[:-1], K)]
         stop = np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))
-        work = ((holds & (hi - lo > 1e-10 * (1.0 + np.abs(hi))))
-                | ((side[:-1] != side[1:]) & (hi - lo > stop)))
+        work = (c[:-1] != c[1:]) & (hi - lo > stop)
         i = np.flatnonzero(work)
-        # the gap end's gap less the band end's count, for one end in a band
-        rise = np.where(side[i] == 0.0, gap[i + 1] - n[i], gap[i] - n[i + 1])
-        one = (((side[i] == 0.0) != (side[i + 1] == 0.0)) & ((rise == 0) | (rise == 1))
-               & (lo[i] >= 0.0))
-        return i, one, stop[work]
+        return i, (c[i + 1] - c[i] == 1) & (lo[i] >= 0.0), stop[work]
 
     def newer_until(i):
         """``until`` of the newer end of each pair: set by its parent pair."""
         return np.where(age[i] > age[i + 1], until[i], until[i + 1])
 
-    integrated = e.size
+    integrated = 1
     i, one, stop = pairs()
     for sweep in range(1, cap + 1):
         if i.size == 0:
-            return e, side, integrated
+            return e, c, integrated
         if sweep == cap:
             break
         j = i + 1  # the ends of each pair worked on
@@ -401,10 +476,10 @@ def _sweep(V0, e_max, steps):
         newer = newer_until(i)
         budget = np.ceil(np.log2((hi - lo) / stop)).astype(int)
         last = np.where(one, np.where(newer < 0, sweep + budget - 1, newer), -1)
-        s = side[i] + side[j]  # the gap end's sign
         stale = 0.5 ** np.maximum(np.abs(age[i] - age[j]) - 1, 0)
-        g_lo = (s * d[i] - 2.0) * np.where(age[i] < age[j], stale, 1.0)
-        g_hi = (s * d[j] - 2.0) * np.where(age[j] < age[i], stale, 1.0)
+        g_lo, g_hi = _crossing(grid, m, c, turns, i)
+        g_lo = g_lo * np.where(age[i] < age[j], stale, 1.0)
+        g_hi = g_hi * np.where(age[j] < age[i], stale, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
         step = one & (sweep <= last) & (g_lo * g_hi < 0.0) & (lo < x) & (x < hi)
@@ -420,17 +495,15 @@ def _sweep(V0, e_max, steps):
             a, b = np.concatenate([a[left], mid[right]]), np.concatenate([mid[left], b[right]])
             k = np.concatenate([k[left], k[right]]) - 1
         ahead = np.sort(np.concatenate(ahead))
-        integrated += ahead.size
-        m, n_ahead = _monodromy_batch(V0, ahead, steps)
-        d_ahead = m[0, 0] + m[1, 1]
-        side_ahead = np.where(ahead < 0.0, 1.0, _gap_side(m))
+        integrated += np.count_nonzero(ahead >= 0.0)
+        m_ahead, c_ahead, turns_ahead = _evaluate(grid, ahead)
         new, new_until = np.where(step, x, 0.5 * (lo + hi)), last
         while True:
             at = np.searchsorted(ahead, new)
             e = np.insert(e, i + 1, new)
-            d = np.insert(d, i + 1, d_ahead[at])
-            side = np.insert(side, i + 1, side_ahead[at])
-            n = np.insert(n, i + 1, n_ahead[at])
+            m = np.insert(m, i + 1, m_ahead[:, :, at], axis=2)
+            c = np.insert(c, i + 1, c_ahead[at])
+            turns = np.insert(turns, i + 1, turns_ahead[at])
             age = np.insert(age, i + 1, sweep)
             until = np.insert(until, i + 1, new_until)
             i, one, stop = pairs()
@@ -444,21 +517,24 @@ def _sweep(V0, e_max, steps):
 
 
 def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dict]:
-    """Bracket the edges of the discriminant; returns the band set and metadata.
+    """Bracket the band edges; returns the band set and metadata.
 
-    The bands are the runs of in-band energies of ``_sweep``, each edge
-    the midpoint of the pair where the verdict flips, a run that reaches
-    e_max truncated there.  Metadata records the edges found, merged
-    degenerate gaps (length < 1e-8: downstream band sets need strict
-    interlacing), the truncation, and ``scan_points``: every integrated
-    energy, including look-ahead midpoints that ``_sweep`` dropped.
+    The bands are the runs of in-band energies of ``_sweep`` (c odd), each
+    edge the midpoint of the pair where the verdict flips, a run that
+    reaches e_max truncated there.  Metadata records the edges found,
+    merged degenerate gaps (length < 1e-8: downstream band sets need
+    strict interlacing), the truncation, ``scan_points``: every
+    integrated energy, including look-ahead midpoints that ``_sweep``
+    dropped, and ``integration_steps``: the RK4 steps per integrated
+    energy, over half the period for an even V0.
     """
     if not e_max > 0:
         raise PreconditionError("e_max must be positive")
     steps = default_steps(float(e_max + V0.sup_norm), V0.period)
-    swept, side, integrated = _sweep(V0, e_max, steps)
+    grid = _grid(V0, steps, V0.even)
+    swept, c, integrated = _sweep(grid, e_max)
 
-    inside = side == 0.0
+    inside = c % 2 == 1
     flips = np.flatnonzero(inside[:-1] != inside[1:])
     # E = -1 lies in gap 0, so the first flip starts the first band
     cuts = np.concatenate([0.5 * (swept[flips] + swept[flips + 1]), swept[-1:][inside[-1:]]])
@@ -490,7 +566,6 @@ def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dic
         "dropped_slivers": [[float(a), float(b)] for a, b in slivers],
         "truncated_at_e_max": truncated,
         "scan_points": int(integrated),
-        "integration_steps": int(steps),
+        "integration_steps": int(grid.steps),
     }
     return I, meta
-

@@ -103,9 +103,12 @@ def test_criterion_04_hill_free_case():
     start = time.time()
     V0 = hill.free(1.0)
     E = np.linspace(0.0, 100.0, 1000)
-    m, _ = hill._monodromy_batch(V0, E)
-    trace_err = float(np.max(np.abs(m[0, 0] + m[1, 1] - 2.0 * np.cos(np.sqrt(E)))))
-    dets = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    # V0 is even, so band_edges_report integrates half the period, and
+    # D = 2 (y1 y2' + y1' y2) there
+    grid = hill._grid(V0, hill.default_steps(100.0, V0.period), V0.even)
+    (y1, y2), (dy1, dy2) = hill._monodromy_batch(grid, E)[0]
+    trace_err = float(np.max(np.abs(2.0 * (y1 * dy2 + dy1 * y2) - 2.0 * np.cos(np.sqrt(E)))))
+    dets = y1 * dy2 - y2 * dy1
     det_err = float(np.max(np.abs(dets - 1.0)))
     elapsed = time.time() - start
     check(4, "free discriminant vs 2cos(sqrt(E)) and unit Wronskian",

@@ -253,6 +253,39 @@ class TestConfigHandling:
         assert status == EXIT_CONFIG, result
         assert "period must be positive" in result["error"]
 
+    @pytest.mark.parametrize("v0", [
+        {"type": "cos", "q": 1e308},
+        {"type": "cos", "q": 1.0, "period": 1e308},
+        {"type": "cos", "q": 1.0, "period": 1e-320},
+        {"type": "free", "period": 1e308},
+        {"type": "samples", "values": [0.0, 1.0, 2.0], "period": 1e308},
+    ], ids=["cos-q", "cos-period-huge", "cos-period-tiny", "free-period", "samples-period"])
+    def test_v0_overflow_exit_2(self, v0):
+        # refused before the sup norm 2 q, the probe grid x + period or the
+        # wave number 2 pi / period overflows: no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, result = cli.run({"v0": v0, "bands": {"e_max": 9.0}}, command="bands")
+        assert status == EXIT_CONFIG, result
+        assert re.search("2 q finite|period must be positive", result["error"])
+
+    @pytest.mark.parametrize("command, doc", [
+        ("distort", {"v0": {"type": "cos", "q": 1.0}, "bands": {"e_max": 4.0},
+                     "distort": {"omega": -0.5, "variant": "uniform", "samples": 10}}),
+        ("hansmann", {"hansmann": {"n": 10, "trials": 5, "p": 2.0, "scale": 0.5}}),
+    ], ids=["distort", "hansmann"])
+    def test_negative_seed_exit_2(self, tmp_path, command, doc):
+        # numpy's default_rng raised ValueError past cli.run and main
+        status, result = cli.run({**doc, "seed": -1}, command=command)
+        assert status == EXIT_CONFIG, result
+        assert result["error"] == "'seed' = -1 is below the minimum 0"
+        status, result = cli.run(doc, command=command, seed=-1)
+        assert status == EXIT_CONFIG, result
+        assert result["error"] == "'--seed' = -1 is below the minimum 0"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert cli.main([command, "--config", str(cfg), "--seed", "-1"]) == EXIT_CONFIG
+
     def test_samples_below_zero_exit_3(self):
         doc = {"v0": {"type": "samples", "period": 1.0, "values": [1.0, -1e-6, 1.0]},
                "bands": {"e_max": 9.0}}
