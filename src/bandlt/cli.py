@@ -50,6 +50,10 @@ THEOREMS = ("T1", "T1simplified", "T2", "T3")
 _MAX_SAMPLES = 10**7  # distort.samples; the sampler may draw 2000 per sample
 _MAX_TRIALS = 10**4  # hansmann.trials; each trial is a dense n x n eigensolve
 _DEFAULT_SEED = 0  # distort and hansmann draw from it when no seed is given
+# deepest well -Re V: deeper ones bind states whose eigenvector entries
+# overflow once squared (a bump of depth 1e155 did, in the norm of its
+# inverse-iteration vector)
+_MAX_DEPTH = math.sqrt(sys.float_info.max)
 # the keys each section may hold, whatever the command ("" is the top level)
 _KNOWN_KEYS = {section: set(keys.split()) for section, keys in {
     "": "command seed v0 v grid bands exponents delta omega theorem a_values "
@@ -209,10 +213,18 @@ def perturbation_samples(spec: dict, x: np.ndarray, coupling: float = 1.0) -> np
     amp = cfg.raw("amplitude", 1.0)
     amp = (_pair(amp, "v.amplitude") if isinstance(amp, list)
            else complex(_finite(amp, "v.amplitude")))
+    if not (alpha * amp).real >= -_MAX_DEPTH:
+        raise ConfigError(f"'v.amplitude' times the coupling must have real part "
+                          f">= -{_MAX_DEPTH:.4g}")
     center = cfg.number("center", required=True)
     halfwidth = cfg.number("halfwidth", required=True)
     if not halfwidth > 0:
         raise ConfigError("'v.halfwidth' must be positive")
+    # Python floats: a span past the float range reads inf, not a warning
+    span = max(abs(float(x.min()) - center), abs(float(x.max()) - center))
+    if not span <= halfwidth * sys.float_info.max:
+        raise ConfigError(f"'v.halfwidth' = {halfwidth} is too small: "
+                          "(x - center) / halfwidth overflows on the grid")
     t = (x - center) / halfwidth
     if kind == "step":
         profile = (np.abs(t) < 1.0).astype(float)
@@ -532,13 +544,21 @@ def cmd_hansmann(cfg: Cfg, seed, outputs) -> dict:
     p = h.number("p", default=2.0)
     if not p > 1:
         raise ConfigError("'hansmann.p' must exceed 1")
+    n = h.integer("n", default=50, lo=2, hi=operators.SOLVER_CAP)
+    scale = h.number("scale", default=0.5)
+    # each eigenvalue of A0 + B lies within |B| = |scale| of spec(A0) (A0 is
+    # diagonal), so the distance sum is at most n |scale|^p; keep twice that finite
+    log_sum = p * math.log(abs(scale)) + math.log(2 * n) if scale else -math.inf
+    if not log_sum < math.log(sys.float_info.max):
+        raise ConfigError(f"'hansmann.scale' = {scale} is too large for p = {p}: "
+                          "n |scale|^p overflows")
     seed = _DEFAULT_SEED if seed is None else seed
     rng = np.random.default_rng(seed)
     report = ltsums.hansmann_ensemble(
-        n=h.integer("n", default=50, lo=2, hi=operators.SOLVER_CAP),
+        n=n,
         trials=h.integer("trials", default=100, lo=1, hi=_MAX_TRIALS),
         p=p,
-        perturbation_scale=h.number("scale", default=0.5),
+        perturbation_scale=scale,
         rng=rng,
         diagonal=h.boolean("diagonal", False),
     )

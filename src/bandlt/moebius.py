@@ -19,10 +19,13 @@ the bands:
       1 / (5 (1 + r)) * 1 / (q (q + a_1 - omega))
 
 ``verify_distortion`` samples z = omega + r e^(i theta) in the variant's
-region, rejecting draws on Re z and theta (``gap`` first on r and theta,
-as rejected draws too) and computing Im z only for the draws it keeps,
-and confirms the ratio dominates the bound, reporting any violations as
-data.
+region and confirms the ratio dominates the bound, reporting any
+violations as data.  A draw is decided on r and theta where Re z < a_1
+is certain (and, for ``uniform``, where z is off the real axis and below
+the validity cap), otherwise on its exact Re z and theta; Re z and Im z
+are computed for the kept draws only.  The draws of a batch are handled
+one ``_CHUNK`` at a time after its block of r, so only that block and the
+kept z grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ _REGIONS = {"halfplane": (np.array([True, True, False]), "Re z < a_1 or Re z ins
             "uniform": (np.array([True, True, True]), "any Re z")}
 _SAMPLE_RADII = (1e-3, 1e3)  # modulus range |z - omega| of the draws
 _THETA_MARGIN = 1e-6  # cos theta < -sin(margin) inside the rejected theta window
+_CHUNK = 1 << 15  # draws, or samples verified, per pass: its arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -145,19 +149,17 @@ def dist_to_image(lam, image: MoebiusImage):
 def _region_codes(x: np.ndarray, band_set: BandSet) -> np.ndarray:
     """Classify real parts x (1-D) as halfplane / band / gap (int8 codes).
 
-    Edge energies belong to the band (the gap condition is strict).  All
-    of x < a_1 is half-plane, so only the rest is searched.  A ray-free
-    set codes x beyond its last band as a gap with no gap to name;
-    callers reject x > validity_cap first.
+    Edge energies belong to the band (the gap condition is strict); x < a_1
+    ranks 0 among the lower edges and is half-plane.  A ray-free set codes
+    x beyond its last band as a gap with no gap to name; callers reject
+    x > validity_cap first.
     """
-    codes = np.full(x.shape, _HALFPLANE, dtype=np.int8)
-    rest = ~(x < band_set.a1)
-    xr = x[rest]
-    idx = np.searchsorted(band_set.lower_edges(), xr, side="right") - 1
-    in_band = xr <= band_set.upper_edges()[idx]
+    j = bandset._rank(band_set.lower_edges(), x)
+    in_band = x <= band_set.upper_edges()[j - 1]
     if band_set.terminal_ray:
-        in_band |= xr >= band_set.ray_start
-    codes[rest] = np.where(in_band, np.int8(_BAND), np.int8(_GAP))
+        in_band |= x >= band_set.ray_start
+    codes = np.where(in_band, np.int8(_BAND), np.int8(_GAP))
+    codes[j == 0] = _HALFPLANE
     return codes
 
 
@@ -204,7 +206,7 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
         out = 1.0 / (3.0 * q * (q + band_set.a1 - mob.omega))
     elif variant == "gap":
         gl, gr = bandset.gaps(band_set)
-        gap_idx = np.searchsorted(band_set.lower_edges(), x, side="right") - 1
+        gap_idx = bandset._rank(band_set.lower_edges(), x) - 1
         b_k = gl[gap_idx]
         a_next = gr[gap_idx]
         out = 1.0 / (2.0 * q * q) / (1.0 + (a_next - b_k) / (b_k - mob.omega))
@@ -237,8 +239,9 @@ class VerificationReport:
         return asdict(self)
 
 
-def _admit(x: np.ndarray, theta: np.ndarray, band_set: BandSet, variant: str):
-    """Indices of the admissible draws among real parts x and angles theta.
+def _admits(x: np.ndarray, theta: np.ndarray, band_set: BandSet,
+            variant: str) -> np.ndarray:
+    """Mask of the admissible draws among real parts x and angles theta.
 
     Keeps x finite, within validity and in the variant's region, and drops
     a real z on a band (on the set), so no distance is computed there.
@@ -254,7 +257,7 @@ def _admit(x: np.ndarray, theta: np.ndarray, band_set: BandSet, variant: str):
     if not band_set.terminal_ray:
         keep &= x <= band_set.validity_cap
     keep &= (theta != 0.0) | (codes != _BAND)
-    return np.flatnonzero(keep)
+    return keep
 
 
 def _may_reach_a1(r: np.ndarray, theta: np.ndarray, omega: float,
@@ -268,28 +271,72 @@ def _may_reach_a1(r: np.ndarray, theta: np.ndarray, omega: float,
     return keep
 
 
+def _decide(r: np.ndarray, theta: np.ndarray, omega: float, band_set: BandSet,
+            variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, undecided): the draws admitted on r and theta alone, and those
+    that need their exact Re z classified.  Off _may_reach_a1, Re z < a_1
+    for sure: halfplane and uniform admit such a draw, gap rejects it.
+    uniform also admits theta != 0 (z off the real axis) with
+    fl(omega + r) <= validity_cap, since Re z <= fl(omega + r)."""
+    undecided = _may_reach_a1(r, theta, omega, band_set.a1)
+    if _REGIONS[variant][0][_HALFPLANE]:
+        keep = ~undecided
+    else:
+        keep = np.zeros(r.size, dtype=bool)
+    if variant == "uniform":
+        sure = omega + r <= band_set.validity_cap
+        sure &= theta != 0.0
+        keep |= sure
+        undecided &= ~sure
+    return keep, undecided
+
+
+def _real_part(r: np.ndarray, theta: np.ndarray, omega: float) -> np.ndarray:
+    """Re z = fl(omega + fl(r fl(cos theta))), the bits of omega + r e^(i theta)."""
+    x = np.cos(theta)
+    x *= r
+    x += omega
+    return x
+
+
 def _sample(band_set: BandSet, mob: MoebiusMap, variant: str, n: int,
             rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """The first n admissible draws and the number of draws rejected."""
+    """The first n admissible draws and the number of draws rejected.
+
+    A batch draws its block of log r, then its theta block one _CHUNK at a
+    time (the stream order of rng.uniform on the two blocks), and does all
+    per-draw work on that chunk.  Most draws are decided on r and theta
+    alone (_decide); only the rest take a cos before classification.  Every
+    chunk of the last batch is classified, since ``rejected`` counts the
+    rejections past the n-th kept draw too.
+    """
     z = np.empty(n, dtype=complex)
+    lo, hi = np.log(_SAMPLE_RADII)
+    log_r = None
+    theta = np.empty(_CHUNK)
     kept = rejected = attempts = 0
     while kept < n and attempts < max(1_000_000, 2000 * n):
         size = min(max(4 * (n - kept), 4096), 1 << 20)
-        r = np.exp(rng.uniform(*np.log(_SAMPLE_RADII), size))
-        theta = rng.uniform(0.0, 2.0 * np.pi, size)
-        if not _REGIONS[variant][0][_HALFPLANE]:  # needs omega < a_1
-            pre = np.flatnonzero(_may_reach_a1(r, theta, mob.omega, band_set.a1))
-            r, theta = r[pre], theta[pre]
-        x = np.cos(theta)
-        x *= r
-        x += mob.omega
-        idx = _admit(x, theta, band_set, variant)
+        if log_r is None:
+            log_r = np.empty(size)  # the first batch is the largest
+        block = rng.random(out=log_r[:size])  # rng.uniform(lo, hi, size)
+        block *= hi - lo
+        block += lo
         attempts += size
-        rejected += size - idx.size
-        idx = idx[:n - kept]  # Im z only for the draws kept
-        z.real[kept:kept + idx.size] = x[idx]
-        z.imag[kept:kept + idx.size] = np.sin(theta[idx]) * r[idx]
-        kept += idx.size
+        for start in range(0, size, _CHUNK):
+            r = np.exp(block[start:start + _CHUNK])
+            th = rng.random(out=theta[:r.size])  # rng.uniform(0, 2 pi, r.size)
+            th *= 2.0 * np.pi
+            keep, undecided = _decide(r, th, mob.omega, band_set, variant)
+            idx = np.flatnonzero(undecided)
+            keep[idx] = _admits(_real_part(r[idx], th[idx], mob.omega), th[idx],
+                                band_set, variant)
+            take = np.flatnonzero(keep)
+            rejected += r.size - take.size
+            take = take[:n - kept]  # Re z and Im z only for the draws kept
+            z.real[kept:kept + take.size] = _real_part(r[take], th[take], mob.omega)
+            z.imag[kept:kept + take.size] = np.sin(th[take]) * r[take]
+            kept += take.size
     if kept < n:
         raise NumericalError(
             f"sampling produced only {kept}/{n} admissible points "
@@ -311,9 +358,10 @@ def verify_distortion(
     Each round draws log-uniform r = |z - omega| in _SAMPLE_RADII, then
     uniform theta = arg(z - omega), and keeps the admissible draws in
     order.  Rejection reads only Re z = omega + r cos(theta) and whether
-    theta = 0; Im z = r sin(theta) is computed for the kept draws only
-    (the bits of omega + r exp(i theta)).  ``gap`` drops draws on r and
-    theta first; they count as rejected.  Preconditions are checked before
+    theta = 0, and decides most draws on r and theta alone (see _sample);
+    Im z = r sin(theta) is computed for the kept draws only (the bits of
+    omega + r exp(i theta)).  Ratio and bound are checked one _CHUNK of
+    samples at a time.  Preconditions are checked before
     any draw: n >= 0, a tolerance below inf (at NaN or inf no quotient
     could count as a violation; -inf lists every sample) and the
     variant's.  Raises NumericalError when max(10^6, 2000 n) draws hold
@@ -333,20 +381,25 @@ def verify_distortion(
             min_quotient=None, tolerance=tolerance,
         )
 
-    ratio = distortion_ratio(z, band_set, mob)
-    bound = distortion_bound(z, band_set, mob, variant)
-    quotient = ratio / bound
-    bad = quotient < 1.0 - tolerance
-    violations = [
-        {"z": [float(w.real), float(w.imag)], "ratio": float(r), "bound": float(b)}
-        for w, r, b in zip(z[bad], ratio[bad], bound[bad])
-    ]
+    min_quotient = np.inf
+    violations = []
+    for start in range(0, n, _CHUNK):
+        zc = z[start:start + _CHUNK]
+        ratio = distortion_ratio(zc, band_set, mob)
+        bound = distortion_bound(zc, band_set, mob, variant)
+        quotient = ratio / bound
+        min_quotient = np.minimum(min_quotient, np.min(quotient))  # NaN sticks
+        bad = quotient < 1.0 - tolerance
+        violations += [
+            {"z": [float(w.real), float(w.imag)], "ratio": float(r), "bound": float(b)}
+            for w, r, b in zip(zc[bad], ratio[bad], bound[bad])
+        ]
     return VerificationReport(
         variant=variant,
         omega=mob.omega,
         samples=int(n),
         rejected=rejected,
-        min_quotient=float(np.min(quotient)),
+        min_quotient=float(min_quotient),
         tolerance=tolerance,
         violations=violations,
     )

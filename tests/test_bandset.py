@@ -136,6 +136,31 @@ class TestTwoNeighbourDistance:
         assert got.tobytes() == want.tobytes()
 
 
+class TestRank:
+    """_rank against np.searchsorted(side="right") on both sides of its
+    64-edge switch."""
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 64, 65])
+    def test_matches_searchsorted(self, rng, k):
+        edges = np.sort(rng.uniform(-10.0, 10.0, k))
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-np.inf, np.inf, np.nan, -0.0, 0.0, -1e300, 1e300],
+            rng.uniform(-12.0, 12.0, 500),
+        ])
+        want = np.searchsorted(edges, x, side="right")
+        assert np.array_equal(bandset._rank(edges, x), want)
+        grid = x[:x.size // 2 * 2].reshape(-1, 2)
+        got = bandset._rank(edges, grid)
+        assert got.shape == grid.shape
+        assert np.array_equal(got, np.searchsorted(edges, grid, side="right"))
+        for v in x[:3 * k + 7]:  # 0-d: numpy scalars and 0-d arrays
+            for probe in (v, np.asarray(v)):
+                got = bandset._rank(edges, probe)
+                assert np.shape(got) == ()
+                assert got == np.searchsorted(edges, probe, side="right")
+
+
 class TestGapRatio:
     def test_three_bands(self, three_bands):
         assert bandset.gap_ratio(three_bands) == pytest.approx(0.5)

@@ -364,6 +364,24 @@ class TestFloatFailures:
         assert status == EXIT_NUMERICAL, result
         assert "float arithmetic failed" in result["error"]
 
+    @pytest.mark.parametrize("command, section, changes, key", [
+        ("spectrum", "v", {"halfwidth": 1e-320}, "v.halfwidth"),
+        ("spectrum", "v", {"amplitude": -1e308}, "v.amplitude"),
+        ("hansmann", "hansmann", {"scale": 1e308}, "hansmann.scale"),
+        ("hansmann", "hansmann", {"scale": -1e308}, "hansmann.scale"),
+    ], ids=["halfwidth-1e-320", "amplitude-minus-1e308", "scale-1e308", "scale-minus-1e308"])
+    def test_overflowing_magnitude_exits_2(self, tmp_path, bands_file, command, section,
+                                           changes, key):
+        # each once overflowed with a RuntimeWarning (an error in this suite)
+        # in a divide, a dot or a power before it could fail
+        doc = spectrum_config(bands_file, output={},
+                              hansmann={"n": 5, "trials": 3, "p": 2.0})
+        doc["grid"]["points"] = 60
+        doc[section].update(changes)
+        status, result = cli.run(doc, command=command, seed=1, out_dir=str(tmp_path))
+        assert status == EXIT_CONFIG, result
+        assert key in result["error"]
+
     def test_import_leaves_out_quadrature_and_special_functions(self):
         mods = ("scipy.integrate", "scipy.special", "scipy.optimize")
         code = f"import sys, bandlt.cli; print(*(m for m in {mods!r} if m in sys.modules))"

@@ -378,7 +378,7 @@ class TestVerifyDistortion:
 
     @pytest.mark.parametrize("ray", [False, True])
     def test_off_set_mask_matches_distance(self, rng, ray):
-        # _admit reads theta; the oracle reads z = x + i r sin(theta)
+        # _admits reads theta; the oracle reads z = x + i r sin(theta)
         I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
         edges = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 8.0] + ([10.0] if ray else []))
         real_axis = np.concatenate([
@@ -397,9 +397,7 @@ class TestVerifyDistortion:
                                                  band_x.size)])
         r = np.concatenate([r, np.ones(3 * band_x.size)])
         z = x + 1j * (r * np.sin(theta))
-        idx = moebius._admit(x, theta, I, "uniform")
-        keep = np.zeros(z.size, dtype=bool)
-        keep[idx] = True
+        keep = moebius._admits(x, theta, I, "uniform")
         valid = np.isfinite(z) & (ray or z.real <= I.validity_cap)
         assert np.array_equal(keep[valid], bandset.dist_to_bands(z[valid], I) > 0.0)
         assert not np.any(keep[~valid])
@@ -411,41 +409,90 @@ class TestVerifyDistortion:
     def test_matches_reference_loop(self, ray, omega, variant):
         I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
         mob = moebius.MoebiusMap(omega)
+        rng_got, rng_want = np.random.default_rng(7), np.random.default_rng(7)
         got = moebius.verify_distortion(I, mob, variant, n=1500, tolerance=-math.inf,
-                                        rng=np.random.default_rng(7))
+                                        rng=rng_got)
         want = _reference_verify(I, mob, variant, n=1500, tolerance=-math.inf,
-                                 rng=np.random.default_rng(7))
+                                 rng=rng_want)
         assert len(got.violations) == got.samples == 1500  # every kept z is listed
         assert got == want
         assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("ray", [False, True])
+    @pytest.mark.parametrize("variant", moebius.VARIANTS)
+    def test_matches_reference_loop_across_chunks(self, monkeypatch, ray, variant):
+        # the chunk size is not seen in a report: at 1024, a first batch of
+        # 4 n = 10000 draws is 9 whole chunks and a partial one, and the n
+        # samples verified are 2 whole chunks and a partial one
+        monkeypatch.setattr(moebius, "_CHUNK", 1024)
+        n = 2500
+        I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
+        mob = moebius.MoebiusMap(-0.5)
+        rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
+        got = moebius.verify_distortion(I, mob, variant, n=n, tolerance=-math.inf,
+                                        rng=rng_got)
+        want = _reference_verify(I, mob, variant, n=n, tolerance=-math.inf, rng=rng_want)
+        assert len(got.violations) == n
+        assert (got.rejected, got.min_quotient) == (want.rejected, want.min_quotient)
+        same = json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert same  # no diff of two long reports on failure
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     def test_share_of_draws_reaching_cos(self, monkeypatch):
-        # gap at omega = -5 drops most draws on r and theta before their cos;
-        # without that prefilter every draw reaches _admit
-        seen = []
-        admit = moebius._admit
+        # draws with Re z < a_1 for sure, and uniform draws off the real axis
+        # below the validity cap, are decided on r and theta; the shares of
+        # all draws that take a cos first measured 0.186, 0.255 and 0.128
+        seen, draws = [], []
+        admits, reach = moebius._admits, moebius._may_reach_a1
 
-        def counted(x, *args):
+        def counted_admits(x, *args):
             seen.append(x.size)
-            return admit(x, *args)
+            return admits(x, *args)
 
-        monkeypatch.setattr(moebius, "_admit", counted)
+        def counted_reach(r, *args):  # sees every draw once
+            draws.append(r.size)
+            return reach(r, *args)
+
+        monkeypatch.setattr(moebius, "_admits", counted_admits)
+        monkeypatch.setattr(moebius, "_may_reach_a1", counted_reach)
         I = bandset.validate(_MATHIEU_Q2_EDGES)
-        report = moebius.verify_distortion(I, moebius.MoebiusMap(-5.0), "gap", n=10_000,
-                                           rng=np.random.default_rng(1))
-        assert sum(seen) <= 0.3 * (report.samples + report.rejected)
+        for variant, omega, share in [("gap", -5.0, 0.20), ("halfplane", 0.0, 0.27),
+                                      ("uniform", 0.0, 0.14)]:
+            seen.clear()
+            draws.clear()
+            report = moebius.verify_distortion(I, moebius.MoebiusMap(omega), variant,
+                                               n=10_000, rng=np.random.default_rng(1))
+            assert sum(draws) >= report.samples + report.rejected
+            assert 0 < sum(seen) <= share * sum(draws), variant
 
     def test_peak_memory(self):
-        # parent of the real-first filter: 29 MiB (complex draws, int64 codes)
+        # the r block of one batch (3 MiB), the kept z (1.5 MiB) and one chunk;
+        # whole-batch arrays peaked at 11.4-15.5 MiB
+        I = bandset.validate(_MATHIEU_Q2_EDGES)
+        for variant in moebius.VARIANTS:
+            for omega in (0.0, -0.5, -5.0):
+                tracemalloc.start()
+                try:
+                    moebius.verify_distortion(I, moebius.MoebiusMap(omega), variant,
+                                              n=100_000, rng=np.random.default_rng(1))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 8 * 2**20, (variant, omega)
+
+    def test_peak_memory_million_samples(self):
+        # r block 8 MiB (batches stop at 2^20 draws) and z 15.3 MiB; 91.6 MiB
+        # before the chunked sampler
         I = bandset.validate(_MATHIEU_Q2_EDGES)
         tracemalloc.start()
         try:
-            moebius.verify_distortion(I, moebius.MoebiusMap(0.0), "uniform", n=100_000,
+            moebius.verify_distortion(I, moebius.MoebiusMap(0.0), "uniform", n=10**6,
                                       rng=np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 32 * 2**20
 
     def test_report_json_shape(self, three_bands, rng):
         report = moebius.verify_distortion(
@@ -456,34 +503,59 @@ class TestVerifyDistortion:
         assert doc["samples"] == 100
 
 
+def _ladder(v):
+    """v and its three float neighbours on each side."""
+    out = [v]
+    for _ in range(3):
+        out = [np.nextafter(out[0], -np.inf), *out, np.nextafter(out[-1], np.inf)]
+    return np.array(out)
+
+
+def _r_theta_probes(rng, I, omega):
+    """(r, theta): r where fl(omega + r) crosses a_1 and the validity cap, on
+    a wide log grid, at the theta window's corners and at theta = 0, plus
+    random draws from the sampler's ranges."""
+    m = moebius._THETA_MARGIN
+    corners = np.array([0.5 * np.pi, 0.5 * np.pi + m, 1.5 * np.pi, 1.5 * np.pi - m])
+    theta = np.concatenate([
+        [0.0, np.nextafter(0.0, 1.0), 1e-9, np.pi, np.nextafter(2.0 * np.pi, 0.0)],
+        corners, np.nextafter(corners, 0.0), np.nextafter(corners, np.inf),
+    ])
+    r_edges = [_ladder(I.a1 - omega)]
+    if np.isfinite(I.validity_cap):
+        r_edges.append(_ladder(I.validity_cap - omega))
+    for ladder, edge in zip(r_edges, (I.a1, I.validity_cap)):
+        s = omega + ladder  # fl(omega + r) below, at and above the edge
+        assert s.min() < edge and np.any(s == edge) and s.max() > edge
+    # |cos theta| >= 6e-17 at these theta, so r up to 1e18 reaches every gap
+    r = np.concatenate([*r_edges, np.geomspace(1e-3, 1e18, 400)])
+    r, theta = (a.ravel() for a in np.meshgrid(r, theta))
+    r = np.concatenate([r, np.exp(rng.uniform(*np.log(moebius._SAMPLE_RADII), 20_000))])
+    theta = np.concatenate([theta, rng.uniform(0.0, 2.0 * np.pi, 20_000)])
+    return r, theta
+
+
 class TestMayReachA1:
-    """The gap prefilter keeps every draw that _admit admits on its Re z."""
+    """The decisions on r and theta agree with _admits on the exact Re z."""
 
     @pytest.mark.parametrize("ray", [False, True])
     @pytest.mark.parametrize("omega", [0.0, -0.5, -5.0])
     def test_keeps_every_admitted_draw(self, rng, ray, omega):
         I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
-        r_edge = [I.a1 - omega]
-        for _ in range(3):
-            r_edge = [np.nextafter(r_edge[0], 0.0), *r_edge, np.nextafter(r_edge[-1], np.inf)]
-        r_edge = np.array(r_edge)
-        s = omega + r_edge  # fl(omega + r) below, at and above a_1
-        assert s.min() < I.a1 and np.any(s == I.a1) and s.max() > I.a1
-        m = moebius._THETA_MARGIN
-        corners = np.array([0.5 * np.pi, 0.5 * np.pi + m, 1.5 * np.pi, 1.5 * np.pi - m])
-        theta = np.concatenate([
-            [0.0, np.nextafter(2.0 * np.pi, 0.0)], corners,
-            np.nextafter(corners, 0.0), np.nextafter(corners, np.inf),
-        ])
-        # |cos theta| >= 6e-17 at these theta, so r up to 1e18 reaches every gap
-        r = np.concatenate([r_edge, np.geomspace(1e-3, 1e18, 400)])
-        r, theta = (a.ravel() for a in np.meshgrid(r, theta))
-        r = np.concatenate([r, np.exp(rng.uniform(*np.log(moebius._SAMPLE_RADII), 20_000))])
-        theta = np.concatenate([theta, rng.uniform(0.0, 2.0 * np.pi, 20_000)])
-        x = np.cos(theta)
-        x *= r
-        x += omega
-        idx = moebius._admit(x, theta, I, "gap")
+        r, theta = _r_theta_probes(rng, I, omega)
+        admitted = moebius._admits(moebius._real_part(r, theta, omega), theta, I, "gap")
         keep = moebius._may_reach_a1(r, theta, omega, I.a1)
-        assert idx.size > 0 and not np.all(keep)
-        assert np.all(keep[idx])
+        assert admitted.any() and not np.all(keep)
+        assert np.all(keep[admitted])
+
+    @pytest.mark.parametrize("variant", moebius.VARIANTS)
+    @pytest.mark.parametrize("ray", [False, True])
+    @pytest.mark.parametrize("omega", [0.0, -0.5, -5.0])
+    def test_decide_matches_exact_classification(self, rng, variant, ray, omega):
+        I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
+        r, theta = _r_theta_probes(rng, I, omega)
+        exact = moebius._admits(moebius._real_part(r, theta, omega), theta, I, variant)
+        keep, undecided = moebius._decide(r, theta, omega, I, variant)
+        assert not np.any(keep & undecided)
+        assert np.array_equal(keep[~undecided], exact[~undecided])
+        assert undecided.any() and not undecided.all()
