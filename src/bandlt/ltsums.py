@@ -76,9 +76,13 @@ def _no_underflow(value: float, positive: bool, what: str) -> float:
     return value
 
 
-def _dist_sum(d: np.ndarray, p: float, denom) -> float:
-    """sum d^p / denom: the left side of every bound family."""
-    return _no_underflow(float(np.sum(d**p / denom)), bool(np.any(d > 0.0)),
+def _dist_sum(d: np.ndarray, p: float, base: np.ndarray, expo: float) -> float:
+    """sum d^p / base^expo: the left side of every bound family.  An
+    eigenvalue too large for its power (a well deeper than about
+    1e77 at p = 2) raises FloatingPointError rather than summing inf."""
+    with np.errstate(over="raise"):
+        terms = d**p / base**expo
+    return _no_underflow(float(np.sum(terms)), bool(np.any(d > 0.0)),
                          f"sum of {d.size} terms d^p / kernel at p={p}")
 
 
@@ -112,7 +116,7 @@ def lt_sum_t1(report: SpectrumReport, omega: float, omega1: float,
         raise PreconditionError("need a finite omega < omega_1 and omega < 0")
     zs, d = _distances(report)
     I = report.band_set
-    lhs = _dist_sum(d, nb.p, (np.abs(zs - omega) + abs(omega)) ** (2 * nb.p))
+    lhs = _dist_sum(d, nb.p, np.abs(zs - omega) + abs(omega), 2 * nb.p)
     rhs = (
         _vp_power(nb) / ((omega1 - omega) ** nb.p * abs(omega) ** (nb.p - 0.5))
         * (1.0 + nb.v0_inf / (I.a1 + abs(omega))) ** nb.p
@@ -129,7 +133,7 @@ def lt_sum_t1_simplified(report: SpectrumReport, omega: float, omega1: float,
     if not -math.inf < omega < omega1 - 1.0:
         raise PreconditionError("need a finite omega < omega_1 - 1")
     zs, d = _distances(report)
-    lhs = _dist_sum(d, nb.p, (1.0 + np.abs(zs)) ** (2 * nb.p))
+    lhs = _dist_sum(d, nb.p, 1.0 + np.abs(zs), 2 * nb.p)
     rhs = abs(omega) ** (nb.p + 0.5) * (1.0 + nb.v0_inf) ** nb.p * _vp_power(nb)
     params = _base_params(report, nb)
     params.update({"omega": omega, "omega1": omega1})
@@ -140,7 +144,7 @@ def lt_sum_t2(report: SpectrumReport, nb: NormBundle, a1: float) -> LTReport:
     """Shift-free variant; the price is the extra (1+|V|_p) power."""
     _require_p2(nb)
     zs, d = _distances(report)
-    lhs = _dist_sum(d, nb.p, (1.0 + np.abs(zs)) ** (2 * nb.p))
+    lhs = _dist_sum(d, nb.p, 1.0 + np.abs(zs), 2 * nb.p)
     expo = nb.p * (2.0 * nb.p + 1.0) / (2.0 * nb.p - 1.0)
     rhs = (1.0 + nb.v0_inf) ** nb.p * (1.0 + nb.v_p) ** expo * _vp_power(nb)
     params = _base_params(report, nb)
@@ -172,8 +176,8 @@ def lt_sum_t3(report: SpectrumReport, nb: NormBundle, epsilon: float,
     zs, d = _distances(report)
     az = np.abs(zs)
     inside = az < 1.0
-    lhs_in = _dist_sum(d[inside], nb.p, az[inside] ** (0.5 - epsilon))
-    lhs_out = _dist_sum(d[~inside], nb.p, az[~inside] ** (0.5 + epsilon))
+    lhs_in = _dist_sum(d[inside], nb.p, az[inside], 0.5 - epsilon)
+    lhs_out = _dist_sum(d[~inside], nb.p, az[~inside], 0.5 + epsilon)
     lhs = lhs_in + lhs_out
     rhs = _vp_power(nb)
     params = _base_params(report, nb)
@@ -187,7 +191,7 @@ def lt_sum_t3(report: SpectrumReport, nb: NormBundle, epsilon: float,
         for a in a_values:
             if not a > 0:
                 raise PreconditionError("diagnostic shifts a must be positive")
-            lhs_a = _dist_sum(d, nb.p, (az + a) ** (2 * nb.p))
+            lhs_a = _dist_sum(d, nb.p, az + a, 2 * nb.p)
             rhs_a = _vp_power(nb) / a ** (2.0 * nb.p - 0.5)
             rows.append({"a": float(a), "lhs": lhs_a, "rhs_structure": rhs_a,
                          "empirical_ratio": _ratio(lhs_a, rhs_a)})

@@ -312,13 +312,11 @@ def _sample(band_set: BandSet, mob: MoebiusMap, variant: str, n: int,
     """
     z = np.empty(n, dtype=complex)
     lo, hi = np.log(_SAMPLE_RADII)
-    log_r = None
+    log_r = np.empty(min(max(4 * n, 4096), 1 << 20))  # the first batch is the largest
     theta = np.empty(_CHUNK)
     kept = rejected = attempts = 0
     while kept < n and attempts < max(1_000_000, 2000 * n):
         size = min(max(4 * (n - kept), 4096), 1 << 20)
-        if log_r is None:
-            log_r = np.empty(size)  # the first batch is the largest
         block = rng.random(out=log_r[:size])  # rng.uniform(lo, hi, size)
         block *= hi - lo
         block += lo

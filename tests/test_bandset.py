@@ -138,9 +138,10 @@ class TestTwoNeighbourDistance:
 
 class TestRank:
     """_rank against np.searchsorted(side="right") on both sides of its
-    64-edge switch."""
+    switch from vector compares to the binary search."""
 
-    @pytest.mark.parametrize("k", [1, 7, 8, 9, 64, 65])
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 64, 65, bandset._RANK_LOOP_MAX,
+                                   bandset._RANK_LOOP_MAX + 1])
     def test_matches_searchsorted(self, rng, k):
         edges = np.sort(rng.uniform(-10.0, 10.0, k))
         x = np.concatenate([

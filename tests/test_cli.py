@@ -382,6 +382,28 @@ class TestFloatFailures:
         assert status == EXIT_CONFIG, result
         assert key in result["error"]
 
+    @pytest.mark.parametrize("command, amplitude, status", [
+        ("spectrum", 1e308, 0),
+        ("spectrum", [0.0, 1e308], EXIT_NUMERICAL),
+        ("spectrum", -cli._MAX_DEPTH, 0),
+        ("spectrum", np.nextafter(-cli._MAX_DEPTH, -np.inf), EXIT_CONFIG),
+        ("ltcheck", -cli._MAX_DEPTH, EXIT_NUMERICAL),
+    ], ids=["barrier-1e308", "imaginary-1e308", "deepest-well", "past-deepest-well",
+            "deepest-well-ltcheck"])
+    def test_extreme_amplitude_fails_cleanly(self, tmp_path, bands_file, command,
+                                             amplitude, status):
+        # only the well depth is refused; the rest either run or fail as
+        # numerics, and none lets an overflow warning (an error here) escape
+        doc = spectrum_config(bands_file, output={}, theorem="T1")
+        doc["grid"]["points"] = 60
+        doc["v"]["amplitude"] = amplitude
+        got, result = cli.run(doc, command=command, seed=1, out_dir=str(tmp_path))
+        assert got == status, result
+        if status == EXIT_CONFIG:
+            assert "v.amplitude" in result["error"]
+        elif command == "ltcheck":
+            assert "overflow encountered in power" in result["error"]
+
     def test_import_leaves_out_quadrature_and_special_functions(self):
         mods = ("scipy.integrate", "scipy.special", "scipy.optimize")
         code = f"import sys, bandlt.cli; print(*(m for m in {mods!r} if m in sys.modules))"
