@@ -212,13 +212,12 @@ def perturbation_samples(spec: dict, x: np.ndarray, coupling: float = 1.0) -> np
         vals = cfg.raw("values")
         if not isinstance(vals, list) or len(vals) != x.size:
             raise ConfigError("'v.values' must list one [re, im] pair per grid node")
-        return alpha * np.array([_pair(v, f"v.values[{i}]") for i, v in enumerate(vals)])
+        return _scaled(alpha, np.array([_pair(v, f"v.values[{i}]") for i, v in enumerate(vals)]),
+                       "'v.values'")
     amp = cfg.raw("amplitude", 1.0)
     amp = (_pair(amp, "v.amplitude") if isinstance(amp, list)
            else complex(_finite(amp, "v.amplitude")))
-    if not (alpha * amp).real >= -_MAX_DEPTH:
-        raise ConfigError(f"'v.amplitude' times the coupling must have real part "
-                          f">= -{_MAX_DEPTH:.4g}")
+    alpha_amp = _scaled(alpha, amp, "'v.amplitude'")
     center = cfg.number("center", required=True)
     halfwidth = cfg.number("halfwidth", required=True)
     if not halfwidth > 0:
@@ -235,7 +234,18 @@ def perturbation_samples(spec: dict, x: np.ndarray, coupling: float = 1.0) -> np
         profile = np.zeros_like(t)
         inside = np.abs(t) < 1.0
         profile[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-    return alpha * amp * profile
+    return alpha_amp * profile
+
+
+def _scaled(alpha: float, v, key: str):
+    """alpha v, refused unless finite with no well deeper than _MAX_DEPTH
+    (Re alpha v >= -_MAX_DEPTH); the error names ``key`` and the coupling."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        out = alpha * v
+    if not (np.all(np.isfinite(out)) and np.all(np.real(out) >= -_MAX_DEPTH)):
+        raise ConfigError(f"{key} times 'v.coupling' and any sweep alpha must be finite, "
+                          f"with real part >= -{_MAX_DEPTH:.4g}")
+    return out
 
 
 # ---------------------------------------------------------------------------

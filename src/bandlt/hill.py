@@ -22,15 +22,14 @@ Dirichlet count N(E), the zeros of y2 in (0, T): the Dirichlet
 eigenvalue nu_k lies in the k-th closed gap (Magnus and Winkler).
 
 ``band_edges_report`` runs one loop over neighbouring swept energies
-(``_sweep``): each round adds, in one batch, an energy inside every
-pair whose ends have different counts.  That energy is the midpoint,
-or an Illinois regula falsi step where the pair isolates one edge.  A
-sweep of up to ``_LANES`` energies costs less than two sweeps of one,
-so each sweep also integrates the midpoints the next bisection rounds
-can take, and runs those rounds without a new sweep.  The runs of
-in-band energies are the bands of a validated
-:class:`~bandlt.bandset.BandSet` that the rest of the toolkit consumes,
-with metadata on the resolution used.
+(``_sweep``): each sweep adds, in one batch, energies inside every
+pair whose ends have different counts.  A pair that isolates one edge
+gets an Illinois regula falsi step.  A sweep of up to ``_LANES``
+energies costs less than two sweeps of one, so any other pair gets its
+midpoint and the midpoints of the next bisection levels below it, and
+every energy a sweep integrates is kept.  The runs of in-band energies
+are the bands of a validated :class:`~bandlt.bandset.BandSet` that the
+rest of the toolkit consumes, with metadata on the resolution used.
 
 The solutions are integrated with fixed-step classical Runge-Kutta, in
 blocks of about steps^(1/3) steps that run side by side, and the block
@@ -413,67 +412,54 @@ def _crossing(grid: _Grid, m, c, turns, i):
 
 
 def _sweep(grid: _Grid, e_max: float):
-    """Swept energies, sorted, c(E) at them, and how many energies were
-    integrated.
+    """Swept energies, sorted, and c(E) at them.
 
-    The first sweep is E = -1 and e_max.  Each later round adds, in one
-    batch, one energy inside every pair of neighbouring energies whose
-    counts c differ and that is wider than the edge tolerance and four
-    float spacings.  The new energy is the midpoint, except in a pair at
-    E >= 0 that isolates one edge, c rising by one from its lower end to
-    its upper end.  There the step is Illinois regula falsi on the
-    function g of ``_crossing``: the older end's g is weighted by
-    2^-(c - 1), c the number of sweeps between the ages of the two ends.
-    Such a pair takes at most as many of these steps as bisection needs
-    from the width where it first takes one, and then bisects.
+    The first sweep is E = -1 and e_max.  Each later sweep works on every
+    pair of neighbouring energies whose counts c differ and that is wider
+    than the edge tolerance and four float spacings.  A pair at E >= 0
+    that isolates one edge, c rising by one from its lower end to its
+    upper end, takes an Illinois regula falsi step on the function g of
+    ``_crossing``: the older end's g is weighted by 2^-(c - 1), c the
+    number of sweeps between the ages of the two ends.  Such a pair takes
+    at most as many of these steps as bisection needs from the width
+    where it first takes one, and then bisects.
 
-    A sweep runs the first round for every pair and, for the pairs it
-    bisects, sweeps ahead: it also integrates the midpoints of their
-    next levels - 1 halvings, levels = floor(log2(_LANES // w + 1)) for
-    w pairs worked on, so a batch holds at most max(_LANES, w) energies.
-    A half-pair that ends below 0 gets none, as it never needs work.
-    Later rounds take those midpoints, each computed as bisection
-    computes it, for as long as every pair that needs work and isolates
-    no single edge finds its own among them.  A pair that isolates one
-    edge takes its midpoint if it is there and otherwise waits for the
-    next sweep; midpoints no round takes are dropped, but count among
-    the integrated energies returned with the swept ones.  So the pairs
-    that find the edges take exactly the energies of plain bisection,
-    round for round, only in fewer sweeps.  A pair that needs no work
-    never needs it again, every sweep halves each open pair or gives it
-    one of its steps, and a pair's first step comes after it was halved
-    every sweep before, so the loop stops within twice the bisection bound,
-    2 (1 + ceil(log2((e_max + 1) / 1e-10))) sweeps; past that it raises.
+    A bisected pair is looked ahead in: the sweep integrates the
+    midpoints of its first levels halvings, levels =
+    max(floor(log2(_LANES // w + 1)), 1) for w pairs worked on, so a
+    batch holds at most max(_LANES, w) energies.  A half-pair that ends below 0 gets
+    none, as it never needs work.  Every integrated energy is kept, with
+    the sweep as its age and the step deadline of the pair it was made
+    for, and it lies inside that pair.  On the half-period path c counts
+    the edges below E exactly, so an energy in a half whose ends have
+    equal counts opens no work, and the bisected pairs that find the
+    edges take exactly the midpoints of plain bisection, only in fewer
+    sweeps.  There a pair that needs no work never needs it again,
+    every sweep halves each open pair or gives it one of its steps, and a
+    pair's first step comes after it was halved every sweep before, so
+    the loop stops within twice the bisection bound,
+    2 (1 + ceil(log2((e_max + 1) / 1e-10))) sweeps.  On the full-period
+    path an energy kept in such a half can fall in a gap that the |D|
+    verdict sees and open new work; the same cap bounds that case, and
+    past it the sweep raises.
     """
     cap = 2 * (1 + math.ceil(math.log2((e_max + 1.0) / _EDGE_TOL)))
     e = np.array([-1.0, float(e_max)])
     m, c, turns = _evaluate(grid, e)
     age = np.zeros(2, dtype=int)  # the sweep that added each energy
     until = np.full(2, -1)  # last sweep its pair may step at; -1 before its first step
-
-    def pairs():
-        """Left ends of the pairs that need work, which of them isolate one
-        edge, and their stop widths."""
+    for sweep in range(1, cap + 1):
         lo, hi = e[:-1], e[1:]
         stop = np.maximum(_EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))
-        work = (c[:-1] != c[1:]) & (hi - lo > stop)
-        i = np.flatnonzero(work)
-        return i, (c[i + 1] - c[i] == 1) & (lo[i] >= 0.0), stop[work]
-
-    def newer_until(i):
-        """``until`` of the newer end of each pair: set by its parent pair."""
-        return np.where(age[i] > age[i + 1], until[i], until[i + 1])
-
-    integrated = 1
-    i, one, stop = pairs()
-    for sweep in range(1, cap + 1):
+        i = np.flatnonzero((c[:-1] != c[1:]) & (hi - lo > stop))  # the pairs that need work
         if i.size == 0:
-            return e, c, integrated
+            return e, c
         if sweep == cap:
             break
         j = i + 1  # the ends of each pair worked on
-        lo, hi = e[i], e[j]
-        newer = newer_until(i)
+        lo, hi, stop = e[i], e[j], stop[i]
+        one = (c[j] - c[i] == 1) & (lo >= 0.0)  # isolates one edge
+        newer = np.where(age[i] > age[j], until[i], until[j])  # set by the parent pair
         budget = np.ceil(np.log2((hi - lo) / stop)).astype(int)
         last = np.where(one, np.where(newer < 0, sweep + budget - 1, newer), -1)
         stale = 0.5 ** np.maximum(np.abs(age[i] - age[j]) - 1, 0)
@@ -495,24 +481,14 @@ def _sweep(grid: _Grid, e_max: float):
             a, b = np.concatenate([a[left], mid[right]]), np.concatenate([mid[left], b[right]])
             k = np.concatenate([k[left], k[right]]) - 1
         ahead = np.sort(np.concatenate(ahead))
-        integrated += np.count_nonzero(ahead >= 0.0)
         m_ahead, c_ahead, turns_ahead = _evaluate(grid, ahead)
-        new, new_until = np.where(step, x, 0.5 * (lo + hi)), last
-        while True:
-            at = np.searchsorted(ahead, new)
-            e = np.insert(e, i + 1, new)
-            m = np.insert(m, i + 1, m_ahead[:, :, at], axis=2)
-            c = np.insert(c, i + 1, c_ahead[at])
-            turns = np.insert(turns, i + 1, turns_ahead[at])
-            age = np.insert(age, i + 1, sweep)
-            until = np.insert(until, i + 1, new_until)
-            i, one, stop = pairs()
-            new = 0.5 * (e[i] + e[i + 1])
-            found = ahead[np.minimum(np.searchsorted(ahead, new), ahead.size - 1)] == new
-            if not np.any(found) or not np.all(found[~one]):
-                break  # the next sweep starts from these pairs
-            i, one, new = i[found], one[found], new[found]
-            new_until = np.where(one, newer_until(i), -1)
+        at = np.searchsorted(e, ahead)
+        e = np.insert(e, at, ahead)
+        m = np.insert(m, at, m_ahead, axis=2)
+        c = np.insert(c, at, c_ahead)
+        turns = np.insert(turns, at, turns_ahead)
+        age = np.insert(age, at, sweep)
+        until = np.insert(until, at, last[np.searchsorted(i, at - 1)])
     raise NumericalError(f"edge bracketing did not stop within {cap} sweeps")
 
 
@@ -523,16 +499,15 @@ def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dic
     edge the midpoint of the pair where the verdict flips, a run that
     reaches e_max truncated there.  Metadata records the edges found,
     merged degenerate gaps (length < 1e-8: downstream band sets need
-    strict interlacing), the truncation, ``scan_points``: every
-    integrated energy, including look-ahead midpoints that ``_sweep``
-    dropped, and ``integration_steps``: the RK4 steps per integrated
-    energy, over half the period for an even V0.
+    strict interlacing), the truncation, ``scan_points``: the swept
+    energies E >= 0, each integrated once, and ``integration_steps``: the
+    RK4 steps per integrated energy, over half the period for an even V0.
     """
     if not e_max > 0:
         raise PreconditionError("e_max must be positive")
     steps = default_steps(float(e_max + V0.sup_norm), V0.period)
     grid = _grid(V0, steps, V0.even)
-    swept, c, integrated = _sweep(grid, e_max)
+    swept, c = _sweep(grid, e_max)
 
     inside = c % 2 == 1
     flips = np.flatnonzero(inside[:-1] != inside[1:])
@@ -565,7 +540,7 @@ def band_edges_report(V0: PeriodicPotential, e_max: float) -> tuple[BandSet, dic
         "merged_gaps": [[float(a), float(b)] for a, b in merged_gaps],
         "dropped_slivers": [[float(a), float(b)] for a, b in slivers],
         "truncated_at_e_max": truncated,
-        "scan_points": int(integrated),
+        "scan_points": int(np.count_nonzero(swept >= 0.0)),
         "integration_steps": int(grid.steps),
     }
     return I, meta

@@ -146,13 +146,14 @@ def dist_to_image(lam, image: MoebiusImage):
     return float(d) if ls.ndim == 0 else d
 
 
-def _region_codes(x: np.ndarray, band_set: BandSet) -> np.ndarray:
-    """Classify real parts x (1-D) as halfplane / band / gap (int8 codes).
+def _region_codes(x: np.ndarray, band_set: BandSet) -> tuple[np.ndarray, np.ndarray]:
+    """Classify real parts x (1-D) as halfplane / band / gap (int8 codes);
+    also returns the ranks j of x among the lower edges.
 
     Edge energies belong to the band (the gap condition is strict); x < a_1
-    ranks 0 among the lower edges and is half-plane.  A ray-free set codes
-    x beyond its last band as a gap with no gap to name; callers reject
-    x > validity_cap first.
+    ranks 0 among the lower edges and is half-plane, and a gap x of rank j
+    lies past band j.  A ray-free set codes x beyond its last band as a
+    gap with no gap to name; callers reject x > validity_cap first.
     """
     j = bandset._rank(band_set.lower_edges(), x)
     in_band = x <= band_set.upper_edges()[j - 1]
@@ -160,7 +161,7 @@ def _region_codes(x: np.ndarray, band_set: BandSet) -> np.ndarray:
         in_band |= x >= band_set.ray_start
     codes = np.where(in_band, np.int8(_BAND), np.int8(_GAP))
     codes[j == 0] = _HALFPLANE
-    return codes
+    return codes, j
 
 
 def distortion_ratio(z, band_set: BandSet, mob: MoebiusMap):
@@ -195,7 +196,7 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
             f"classified (validity_cap={band_set.validity_cap})",
             cap=band_set.validity_cap,
         )
-    codes = _region_codes(x, band_set)
+    codes, j = _region_codes(x, band_set)
 
     if not np.all(_REGIONS[variant][0][codes]):
         raise PreconditionError(
@@ -206,9 +207,8 @@ def distortion_bound(z, band_set: BandSet, mob: MoebiusMap, variant: str):
         out = 1.0 / (3.0 * q * (q + band_set.a1 - mob.omega))
     elif variant == "gap":
         gl, gr = bandset.gaps(band_set)
-        gap_idx = bandset._rank(band_set.lower_edges(), x) - 1
-        b_k = gl[gap_idx]
-        a_next = gr[gap_idx]
+        b_k = gl[j - 1]
+        a_next = gr[j - 1]
         out = 1.0 / (2.0 * q * q) / (1.0 + (a_next - b_k) / (b_k - mob.omega))
     else:  # uniform
         r = bandset.gap_ratio(band_set)
@@ -251,7 +251,7 @@ def _admits(x: np.ndarray, theta: np.ndarray, band_set: BandSet,
     rng.uniform(0, 2 pi) is at least 2 pi 2^-53, so fl(r fl(sin theta))
     neither underflows nor overflows.
     """
-    codes = _region_codes(x, band_set)
+    codes = _region_codes(x, band_set)[0]
     keep = _REGIONS[variant][0][codes]
     keep &= np.isfinite(x)
     if not band_set.terminal_ray:

@@ -504,7 +504,8 @@ def _inverse_iteration_vector(op: DiscretizedOperator, z: complex) -> np.ndarray
         try:
             for _ in range(_INVERSE_ITERATIONS):
                 v = _band_solve(ab, v)
-                nrm = np.linalg.norm(v)
+                with np.errstate(over="ignore"):  # entries past 1e154: refused below
+                    nrm = np.linalg.norm(v)
                 if not np.isfinite(nrm) or nrm == 0.0:
                     raise NumericalError(f"inverse iteration diverged at z={z}")
                 v = v / nrm

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -382,26 +383,37 @@ class TestFloatFailures:
         assert status == EXIT_CONFIG, result
         assert key in result["error"]
 
-    @pytest.mark.parametrize("command, amplitude, status", [
-        ("spectrum", 1e308, 0),
-        ("spectrum", [0.0, 1e308], EXIT_NUMERICAL),
-        ("spectrum", -cli._MAX_DEPTH, 0),
-        ("spectrum", np.nextafter(-cli._MAX_DEPTH, -np.inf), EXIT_CONFIG),
-        ("ltcheck", -cli._MAX_DEPTH, EXIT_NUMERICAL),
+    @pytest.mark.parametrize("command, v, status, keys", [
+        ("spectrum", {"amplitude": 1e308}, 0, ()),
+        ("spectrum", {"amplitude": [0.0, 1e308]}, EXIT_NUMERICAL, ()),
+        ("spectrum", {"amplitude": -cli._MAX_DEPTH}, 0, ()),
+        ("spectrum", {"amplitude": np.nextafter(-cli._MAX_DEPTH, -np.inf)}, EXIT_CONFIG,
+         ("v.amplitude",)),
+        ("ltcheck", {"amplitude": -cli._MAX_DEPTH}, EXIT_NUMERICAL, ()),
+        ("spectrum", {"type": "samples", "values": [-1e200, 0.0]}, EXIT_CONFIG, ("v.values",)),
+        ("ltcheck", {"type": "samples", "values": [-1e160, 0.0]}, EXIT_CONFIG, ("v.values",)),
+        ("spectrum", {"coupling": 1e300, "amplitude": 1e300}, EXIT_CONFIG,
+         ("v.amplitude", "v.coupling")),
+        ("sweep", {"coupling": 1e10, "amplitude": 1.0}, EXIT_CONFIG,
+         ("v.amplitude", "v.coupling")),
     ], ids=["barrier-1e308", "imaginary-1e308", "deepest-well", "past-deepest-well",
-            "deepest-well-ltcheck"])
-    def test_extreme_amplitude_fails_cleanly(self, tmp_path, bands_file, command,
-                                             amplitude, status):
-        # only the well depth is refused; the rest either run or fail as
-        # numerics, and none lets an overflow warning (an error here) escape
-        doc = spectrum_config(bands_file, output={}, theorem="T1")
+            "deepest-well-ltcheck", "samples-well-1e200", "samples-well-1e160-ltcheck",
+            "coupling-times-amplitude-overflows", "sweep-alpha-times-amplitude-overflows"])
+    def test_extreme_amplitude_fails_cleanly(self, tmp_path, bands_file, command, v,
+                                             status, keys):
+        # only a well deeper than _MAX_DEPTH, or an alpha V past the float
+        # range, is refused (naming its keys); the rest either run or fail
+        # as numerics, and none lets an overflow warning (an error here)
+        # escape.  A samples V holds the given pair at one node, 0 elsewhere
+        doc = spectrum_config(bands_file, output={}, theorem="T1", alphas=[1.0, 1e300])
         doc["grid"]["points"] = 60
-        doc["v"]["amplitude"] = amplitude
+        doc["v"].update(v)
+        if doc["v"]["type"] == "samples":
+            doc["v"]["values"] = [[0.0, 0.0]] * 30 + [v["values"]] + [[0.0, 0.0]] * 29
         got, result = cli.run(doc, command=command, seed=1, out_dir=str(tmp_path))
         assert got == status, result
-        if status == EXIT_CONFIG:
-            assert "v.amplitude" in result["error"]
-        elif command == "ltcheck":
+        assert all(key in result["error"] for key in keys), result
+        if command == "ltcheck" and status == EXIT_NUMERICAL:
             assert "overflow encountered in power" in result["error"]
 
     def test_import_leaves_out_quadrature_and_special_functions(self):
@@ -426,6 +438,107 @@ class TestFloatFailures:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.split() == ["False"]
+
+
+# hostile values for every fuzzed config path: wrong types, empty
+# containers, float extremes, integers past the float range, and [re, im]
+# pairs for a well far past the deepest one and for a product that overflows
+_HOSTILE = [None, "", "x", True, [], {}, [None], 0, -1, 1e-320, 1e308, -1e308, 10**400,
+            -10**400, 2**63, math.nan, math.inf, -math.inf, [-1e200, 0.0], [1e300, 1e300]]
+_FUZZ_RUN_SECONDS = 5.0
+
+
+def _fuzz_paths(doc):
+    """The paths that the config fuzz sets: every top-level key of ``doc``
+    and seed, every key that ``cli._KNOWN_KEYS`` allows in a section of
+    ``doc``, and the first entry of every list among them."""
+    for key in sorted(set(doc) | {"seed"}):
+        yield (key,)
+        value = doc.get(key)
+        if isinstance(value, dict):
+            for sub in sorted(cli._KNOWN_KEYS[key]):
+                yield key, sub
+                if isinstance(value.get(sub), list):
+                    yield key, sub, 0
+        elif isinstance(value, list):
+            yield key, 0
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _bounded_run(doc, command, out_dir):
+    """``cli.run`` with warnings as errors and SIGALRM after
+    ``_FUZZ_RUN_SECONDS``: (status, result), or (None, the exception) for
+    a warning, a timeout or any other exception that escapes."""
+    def expire(signum, frame):
+        raise TimeoutError(f"run exceeded {_FUZZ_RUN_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, _FUZZ_RUN_SECONDS)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cli.run(doc, command=command, out_dir=str(out_dir))
+    except Exception as exc:
+        return None, repr(exc)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestConfigFuzz:
+    """The README configs, shrunk, with each fuzzed path set in turn to each
+    hostile value: every run ends in exit 0, 2, 3 or 4 within its time
+    bound, and no warning escapes."""
+
+    @staticmethod
+    def bases(bands_path):
+        blocks = TestConfigHandling.readme_blocks()
+        spectrum = {**blocks["spectrum.yaml"], "grid": {"periods": 8, "points": 30},
+                    "bands": {"file": bands_path}}
+        model = {**spectrum, **blocks["ltcheck.yaml"], "alphas": [1.0, 0.5]}
+        samples = {**spectrum, "v": {"type": "samples", "values": [[1.0, 0.0]] * 30}}
+        step = {**spectrum, "v": {"type": "step", "center": 25.0, "halfwidth": 3.0,
+                                  "amplitude": 2.0}}
+        return [("bands", {**blocks["bands.yaml"], "bands": {"e_max": 4.0}}),
+                ("distort", {**blocks["distort.yaml"], "bands": {"file": bands_path},
+                             "distort": {**blocks["distort.yaml"]["distort"], "samples": 200}}),
+                ("spectrum", spectrum), ("ltcheck", model), ("sweep", model),
+                ("hansmann", {**blocks["hansmann.yaml"],
+                              "hansmann": {"n": 8, "trials": 5, "p": 2.0, "scale": 0.5}}),
+                ("spectrum", samples), ("spectrum", step)]
+
+    def test_every_run_exits_cleanly(self, tmp_path):
+        # the other commands read the bands base's Hill band set, which has
+        # no terminal ray, from a file that no fuzzed run overwrites.  A
+        # path is not read by the command when [{}], which no config getter
+        # accepts, still runs clean; its other values are skipped
+        bases = self.bases(str(tmp_path / "bands.json"))
+        assert _bounded_run(bases[0][1], "bands", tmp_path)[0] == 0
+        out = tmp_path / "runs"
+        out.mkdir()
+        failures, runs = [], 0
+        for command, doc in bases:
+            assert _bounded_run(doc, command, out)[0] == 0, command
+            for path in _fuzz_paths(doc):
+                if _bounded_run(_with(doc, path, [{}]), command, out)[0] == 0:
+                    continue
+                for value in _HOSTILE:
+                    runs += 1
+                    status, result = _bounded_run(_with(doc, path, value), command, out)
+                    if status not in (0, EXIT_CONFIG, EXIT_HYPOTHESIS, EXIT_NUMERICAL):
+                        failures.append((command, path, value, result))
+        assert runs > 3000
+        assert not failures, failures[:10]
 
 
 class TestBandsCommand:

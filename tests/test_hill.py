@@ -459,8 +459,7 @@ class TestBandEdges:
         # where one float spacing exceeds 1e-10: the pair holding it runs to
         # four float spacings, as an absolute stop width would never end
         V0, e_max = hill.free(0.01), 1.2e6
-        swept, _, _ = hill._sweep(hill._grid(V0, hill.default_steps(e_max, V0.period), True),
-                                  e_max)
+        swept, _ = hill._sweep(hill._grid(V0, hill.default_steps(e_max, V0.period), True), e_max)
         nu3 = (3.0 * math.pi / 0.01) ** 2
         assert np.min(np.abs(swept - nu3)) < 1e-10 * (1.0 + nu3)
         # count pairs bisect, and the one edge, at 0, has an end below 0
@@ -468,14 +467,25 @@ class TestBandEdges:
 
     @pytest.mark.parametrize("q, e_max, most, rounds", [(2.0, 9.0, 130, 25), (1.0, 4.0, 80, 16)],
                              ids=["mathieu-q2", "cos-q1"])
-    def test_integrated_energies(self, sweeps, q, e_max, most, rounds):
+    def test_integrated_energies(self, monkeypatch, sweeps, q, e_max, most, rounds):
         # a sweep of 8 energies costs less than two of one, so a sweep
-        # also integrates midpoints of later bisection rounds; those no
-        # round takes still count as integrated, and E = -1 is never
-        # integrated.  The half-period runs take 17 sweeps of 116
-        # energies (q = 2) and 12 of 61 (q = 1), against 24 of 121 and 15
-        # of 74 with full-period sweeps and the verdict on D
+        # also integrates midpoints of later bisection levels, and keeps
+        # every energy it integrates: scan_points counts the swept
+        # energies E >= 0, as E = -1 is never integrated.  The
+        # half-period runs take 17 sweeps of 116 energies (q = 2) and 12
+        # of 61 (q = 1), against 24 of 121 and 15 of 74 with full-period
+        # sweeps and the verdict on D
+        kept, sweep = [], hill._sweep
+
+        def recorded(grid, e_max):
+            out = sweep(grid, e_max)
+            kept.append(out[0])
+            return out
+
+        monkeypatch.setattr(hill, "_sweep", recorded)
         I, meta = hill.band_edges_report(hill.cosine(q), e_max)
+        assert all(np.all(np.isin(batch, kept[0])) for batch in sweeps)
+        assert meta["scan_points"] == np.count_nonzero(kept[0] >= 0.0)
         assert sum(b.size for b in sweeps) == meta["scan_points"] <= most
         assert len(sweeps) <= rounds
 
@@ -822,7 +832,7 @@ def bisection_sweep(grid, e_max):
         work = ((c[:-1] != c[1:])
                 & (hi - lo > np.maximum(hill._EDGE_TOL, 4.0 * np.spacing(np.abs(hi)))))
         if not np.any(work):
-            return e, c, np.count_nonzero(e >= 0.0)
+            return e, c
         at = np.flatnonzero(work) + 1
         mid = 0.5 * (lo + hi)[work]
         e = np.insert(e, at, mid)
