@@ -16,10 +16,11 @@ summed over both columns, theta the Prufer angle of the column at a:
 twice its zeros in (0, a], plus one where y y' < 0.  No difference of
 nearly equal numbers enters, so a gap is found down to the edge
 tolerance however close |D| stays to 2.  For any other V0 a sweep
-integrates the whole period and c comes from the verdict |D| > 2,
-confirmed by D^2 - 4 taken from the entries (``_gap_side``), and the
-Dirichlet count N(E), the zeros of y2 in (0, T): the Dirichlet
-eigenvalue nu_k lies in the k-th closed gap (Magnus and Winkler).
+integrates the whole period and c comes from the gap verdict
+D^2 - 4 > _EDGE_TOL^2, taken from the entries with no cancellation, the
+sign of D (``_gap_side``) and the Dirichlet count N(E), the zeros of y2
+in (0, T): the Dirichlet eigenvalue nu_k lies in the k-th closed gap
+(Magnus and Winkler).
 
 ``band_edges_report`` runs one loop over neighbouring swept energies
 (``_sweep``): each sweep adds, in one batch, energies inside every
@@ -358,16 +359,19 @@ def _block_matrices(samples, h, tail, E):
 def _gap_side(m):
     """sign D where the monodromies ``m`` (2,2,nE) put E in a gap, else 0.
 
-    A gap needs |D| > 2 and D^2 - 4 = (m00 - m11)^2 + 4 m01 m10 above
-    _EDGE_TOL^2.  At a closed gap M = +/-I, and rounding lifts |D| above
-    2 by up to 4e-13 on a window about 4 sqrt(1e-13 nu_k) / T wide
-    (8.7e-3 at nu_1 for T = 0.01); the entry form has no cancellation
-    there and stays below 1e-30 on free potentials of period 0.01 to
-    2 pi.
+    A gap is where D^2 - 4, taken from the entries as
+    (m00 - m11)^2 + 4 m01 m10, exceeds _EDGE_TOL^2.  That form has no
+    difference of nearly equal numbers, and |D| - 2 does: inside the
+    7.8e-8 wide gap at 18.0318 of 2 (1 + cos(x + 0.7)) the entry form
+    reads 1.6e-15 to 3.8e-15, while |D| - 2 reads -1.8e-13, the RK4 error
+    of the trace with the wrong sign.  At a closed gap M = +/-I, where
+    rounding lifts |D| above 2 by up to 4e-13 on a window about
+    4 sqrt(1e-13 nu_k) / T wide (8.7e-3 at nu_1 for T = 0.01), the entry
+    form stays below 1e-30 on free potentials of period 0.01 to 2 pi.
     """
     d = m[0, 0] + m[1, 1]
     disc = (m[0, 0] - m[1, 1]) ** 2 + 4.0 * m[0, 1] * m[1, 0]
-    return np.where((np.abs(d) > 2.0) & (disc > _EDGE_TOL ** 2), np.sign(d), 0.0)
+    return np.where(disc > _EDGE_TOL ** 2, np.sign(d), 0.0)
 
 
 def _evaluate(grid: _Grid, E: np.ndarray):
@@ -439,8 +443,8 @@ def _sweep(grid: _Grid, e_max: float):
     pair's first step comes after it was halved every sweep before, so
     the loop stops within twice the bisection bound,
     2 (1 + ceil(log2((e_max + 1) / 1e-10))) sweeps.  On the full-period
-    path an energy kept in such a half can fall in a gap that the |D|
-    verdict sees and open new work; the same cap bounds that case, and
+    path an energy kept in such a half can fall in a gap with both edges
+    in that half and open new work; the same cap bounds that case, and
     past it the sweep raises.
     """
     cap = 2 * (1 + math.ceil(math.log2((e_max + 1.0) / _EDGE_TOL)))

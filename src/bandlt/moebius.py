@@ -23,9 +23,8 @@ region and confirms the ratio dominates the bound, reporting any
 violations as data.  A draw is decided on r and theta where Re z < a_1
 is certain (and, for ``uniform``, where z is off the real axis and below
 the validity cap), otherwise on its exact Re z and theta; Re z and Im z
-are computed for the kept draws only.  The draws of a batch are handled
-one ``_CHUNK`` at a time after its block of r, so only that block and the
-kept z grow with the number of samples.
+are computed for the kept draws only.  Draws and checks stream in one
+pass, in chunks, so no array grows with the number of samples.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ _REGIONS = {"halfplane": (np.array([True, True, False]), "Re z < a_1 or Re z ins
             "uniform": (np.array([True, True, True]), "any Re z")}
 _SAMPLE_RADII = (1e-3, 1e3)  # modulus range |z - omega| of the draws
 _THETA_MARGIN = 1e-6  # cos theta < -sin(margin) inside the rejected theta window
-_CHUNK = 1 << 15  # draws, or samples verified, per pass: its arrays stay in cache
+_CHUNK = 1 << 15  # draws per pass, and 4x the samples per check: the arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -299,48 +298,18 @@ def _real_part(r: np.ndarray, theta: np.ndarray, omega: float) -> np.ndarray:
     return x
 
 
-def _sample(band_set: BandSet, mob: MoebiusMap, variant: str, n: int,
-            rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """The first n admissible draws and the number of draws rejected.
-
-    A batch draws its block of log r, then its theta block one _CHUNK at a
-    time (the stream order of rng.uniform on the two blocks), and does all
-    per-draw work on that chunk.  Most draws are decided on r and theta
-    alone (_decide); only the rest take a cos before classification.  Every
-    chunk of the last batch is classified, since ``rejected`` counts the
-    rejections past the n-th kept draw too.
-    """
-    z = np.empty(n, dtype=complex)
-    lo, hi = np.log(_SAMPLE_RADII)
-    log_r = np.empty(min(max(4 * n, 4096), 1 << 20))  # the first batch is the largest
-    theta = np.empty(_CHUNK)
-    kept = rejected = attempts = 0
-    while kept < n and attempts < max(1_000_000, 2000 * n):
-        size = min(max(4 * (n - kept), 4096), 1 << 20)
-        block = rng.random(out=log_r[:size])  # rng.uniform(lo, hi, size)
-        block *= hi - lo
-        block += lo
-        attempts += size
-        for start in range(0, size, _CHUNK):
-            r = np.exp(block[start:start + _CHUNK])
-            th = rng.random(out=theta[:r.size])  # rng.uniform(0, 2 pi, r.size)
-            th *= 2.0 * np.pi
-            keep, undecided = _decide(r, th, mob.omega, band_set, variant)
-            idx = np.flatnonzero(undecided)
-            keep[idx] = _admits(_real_part(r[idx], th[idx], mob.omega), th[idx],
-                                band_set, variant)
-            take = np.flatnonzero(keep)
-            rejected += r.size - take.size
-            take = take[:n - kept]  # Re z and Im z only for the draws kept
-            z.real[kept:kept + take.size] = _real_part(r[take], th[take], mob.omega)
-            z.imag[kept:kept + take.size] = np.sin(th[take]) * r[take]
-            kept += take.size
-    if kept < n:
-        raise NumericalError(
-            f"sampling produced only {kept}/{n} admissible points "
-            f"in {attempts} draws for variant {variant!r}"
-        )
-    return z, rejected
+def _check(z: np.ndarray, band_set: BandSet, mob: MoebiusMap, variant: str,
+           tolerance: float) -> tuple[float, list[dict]]:
+    """The least ratio / bound over the samples z (NaN if any is NaN) and the
+    violations among them, in order."""
+    ratio = distortion_ratio(z, band_set, mob)
+    bound = distortion_bound(z, band_set, mob, variant)
+    quotient = ratio / bound
+    bad = quotient < 1.0 - tolerance
+    return np.min(quotient), [
+        {"z": [float(w.real), float(w.imag)], "ratio": float(r), "bound": float(b)}
+        for w, r, b in zip(z[bad], ratio[bad], bound[bad])
+    ]
 
 
 def verify_distortion(
@@ -353,51 +322,90 @@ def verify_distortion(
 ) -> VerificationReport:
     """Sample the variant's region and check ratio >= bound (relative tolerance).
 
-    Each round draws log-uniform r = |z - omega| in _SAMPLE_RADII, then
-    uniform theta = arg(z - omega), and keeps the admissible draws in
-    order.  Rejection reads only Re z = omega + r cos(theta) and whether
-    theta = 0, and decides most draws on r and theta alone (see _sample);
-    Im z = r sin(theta) is computed for the kept draws only (the bits of
-    omega + r exp(i theta)).  Ratio and bound are checked one _CHUNK of
-    samples at a time.  Preconditions are checked before
-    any draw: n >= 0, a tolerance below inf (at NaN or inf no quotient
-    could count as a violation; -inf lists every sample) and the
-    variant's.  Raises NumericalError when max(10^6, 2000 n) draws hold
-    fewer than n admissible points.  Returns a report; violations never
-    raise.
+    Each round draws a block of log-uniform r = |z - omega| in
+    _SAMPLE_RADII, then a block of uniform theta = arg(z - omega), and
+    keeps the admissible draws in order.  Rejection reads only
+    Re z = omega + r cos(theta) and whether theta = 0, and decides most
+    draws on r and theta alone (_decide); Im z = r sin(theta) is computed
+    for the kept draws only (the bits of omega + r exp(i theta)).
+    One pass streams it all: r_rng takes rng's state to draw the log r
+    block while rng jumps past it to draw theta, one _CHUNK of each at a
+    time, so rng ends each round where whole blocks leave it; every chunk
+    of the last round is classified, since ``rejected`` counts the
+    rejections past the n-th kept draw too; and the kept z are checked
+    _CHUNK // 4 at a time, so memory does not grow with n.
+
+    Preconditions are checked before any draw: n >= 0, a tolerance below
+    inf (at NaN or inf no quotient could count as a violation; -inf lists
+    every sample), the variant's, and an rng on PCG64 or PCG64DXSM, the
+    numpy generators whose jump ahead is exact.  Raises NumericalError
+    when max(10^6, 2000 n) draws hold fewer than n admissible points.
+    Returns a report; violations never raise.
     """
     if not n >= 0:
         raise PreconditionError(f"sample count n={n} must be >= 0")
     if not tolerance < np.inf:
         raise PreconditionError(f"tolerance={tolerance} must be a number below inf")
     _require_variant(band_set, mob, variant)
-    z, rejected = _sample(band_set, mob, variant, n,
-                          rng if rng is not None else np.random.default_rng())
-    if n == 0:
-        return VerificationReport(
-            variant=variant, omega=mob.omega, samples=0, rejected=rejected,
-            min_quotient=None, tolerance=tolerance,
+    rng = rng if rng is not None else np.random.default_rng()
+    bits = rng.bit_generator
+    if type(bits) not in (np.random.PCG64, np.random.PCG64DXSM):
+        raise PreconditionError(
+            f"rng draws from {type(bits).__name__}; the sampler needs PCG64 or "
+            "PCG64DXSM to jump over a round's log r block"
         )
+    held = {k: bits.state[k] for k in ("has_uint32", "uinteger")}  # advance() drops them
+    r_rng = np.random.Generator(type(bits)(0))  # its state is set at each round
 
-    min_quotient = np.inf
-    violations = []
-    for start in range(0, n, _CHUNK):
-        zc = z[start:start + _CHUNK]
-        ratio = distortion_ratio(zc, band_set, mob)
-        bound = distortion_bound(zc, band_set, mob, variant)
-        quotient = ratio / bound
-        min_quotient = np.minimum(min_quotient, np.min(quotient))  # NaN sticks
-        bad = quotient < 1.0 - tolerance
-        violations += [
-            {"z": [float(w.real), float(w.imag)], "ratio": float(r), "bound": float(b)}
-            for w, r, b in zip(zc[bad], ratio[bad], bound[bad])
-        ]
+    lo, hi = np.log(_SAMPLE_RADII)
+    r_buf, theta_buf = np.empty(_CHUNK), np.empty(_CHUNK)
+    z = np.empty(min(n, _CHUNK // 4), dtype=complex)
+    min_quotient, violations = np.inf, []
+    kept = filled = rejected = attempts = 0
+    while kept < n and attempts < max(1_000_000, 2000 * n):
+        size = min(max(4 * (n - kept), 4096), 1 << 20)
+        r_rng.bit_generator.state = bits.state
+        bits.advance(size)
+        attempts += size
+        for start in range(0, size, _CHUNK):
+            r = r_rng.random(out=r_buf[:min(_CHUNK, size - start)])  # rng.uniform(lo, hi)
+            r *= hi - lo
+            r += lo
+            np.exp(r, out=r)
+            th = rng.random(out=theta_buf[:r.size])  # rng.uniform(0, 2 pi)
+            th *= 2.0 * np.pi
+            keep, undecided = _decide(r, th, mob.omega, band_set, variant)
+            idx = np.flatnonzero(undecided)
+            keep[idx] = _admits(_real_part(r[idx], th[idx], mob.omega), th[idx],
+                                band_set, variant)
+            take = np.flatnonzero(keep)
+            del keep, undecided, idx
+            rejected += r.size - take.size
+            take = take[:n - kept]  # Re z and Im z only for the draws kept
+            while take.size:
+                put, take = take[:z.size - filled], take[z.size - filled:]
+                zc = z[filled:filled + put.size]
+                zc.real = _real_part(r[put], th[put], mob.omega)
+                zc.imag = np.sin(th[put]) * r[put]
+                filled += put.size
+                kept += put.size
+                if filled == z.size or kept == n:
+                    least, bad = _check(z[:filled], band_set, mob, variant, tolerance)
+                    min_quotient = np.minimum(min_quotient, least)  # NaN sticks
+                    violations += bad
+                    filled = 0
+    bits.state = {**bits.state, **held}
+    if kept < n:
+        raise NumericalError(
+            f"sampling produced only {kept}/{n} admissible points "
+            f"in {attempts} draws for variant {variant!r}"
+        )
     return VerificationReport(
         variant=variant,
         omega=mob.omega,
         samples=int(n),
         rejected=rejected,
-        min_quotient=float(min_quotient),
+        min_quotient=float(min_quotient) if n else None,
         tolerance=tolerance,
         violations=violations,
     )

@@ -504,11 +504,11 @@ def _inverse_iteration_vector(op: DiscretizedOperator, z: complex) -> np.ndarray
         try:
             for _ in range(_INVERSE_ITERATIONS):
                 v = _band_solve(ab, v)
-                with np.errstate(over="ignore"):  # entries past 1e154: refused below
-                    nrm = np.linalg.norm(v)
-                if not np.isfinite(nrm) or nrm == 0.0:
+                big = np.max(np.abs(v))  # the 2-norm of v overflows past 1e154
+                if not np.isfinite(big) or big == 0.0:
                     raise NumericalError(f"inverse iteration diverged at z={z}")
-                v = v / nrm
+                v = v / big
+                v /= np.linalg.norm(v)
             return v[pos]
         except NumericalError as exc:
             last_exc = exc

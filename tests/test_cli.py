@@ -416,6 +416,21 @@ class TestFloatFailures:
         if command == "ltcheck" and status == EXIT_NUMERICAL:
             assert "overflow encountered in power" in result["error"]
 
+    def test_huge_barrier_states_run(self, tmp_path):
+        # on a ray-free band set the barrier states up to Re 9.5e307 are
+        # candidates; their inverse-iteration solves pass 1e154, where the
+        # 2-norm overflows, and were once called "diverged" (exit 4)
+        bands = tmp_path / "I.json"
+        bands.write_text(json.dumps(bandset.to_json(
+            hill.band_edges_report(hill.cosine(2.0), 4.0)[0])))
+        doc = spectrum_config(str(bands), output={})
+        doc["grid"]["points"] = 30
+        doc["v"]["amplitude"] = 1e308
+        status, result = cli.run(doc, command="spectrum", seed=1, out_dir=str(tmp_path))
+        assert status == 0, result
+        assert len(result["discrete"]) == 4
+        assert min(z[0] for z in result["discrete"]) > 1e306
+
     def test_import_leaves_out_quadrature_and_special_functions(self):
         mods = ("scipy.integrate", "scipy.special", "scipy.optimize")
         code = f"import sys, bandlt.cli; print(*(m for m in {mods!r} if m in sys.modules))"
@@ -604,13 +619,14 @@ class TestDistortCommand:
 
     def test_one_distance_pass(self, tmp_path, monkeypatch):
         # rejection batches decide "on the set" from region codes; the only
-        # distance pass is the ratio over the accepted points
+        # distance pass is the ratio over the accepted points, one buffer of
+        # moebius._CHUNK // 4 = 8192 samples at a time
         calls = []
         dist = bandset.dist_to_bands
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return dist(*args, **kwargs)
+        def counted(z, *args, **kwargs):
+            calls.append(np.size(z))
+            return dist(z, *args, **kwargs)
 
         monkeypatch.setattr(bandset, "dist_to_bands", counted)
         bands_file = tmp_path / "I.json"
@@ -621,7 +637,8 @@ class TestDistortCommand:
         status, result = cli.run(doc, command="distort", seed=3)
         assert status == 0
         assert result["rejected"] > 0
-        assert len(calls) == 1
+        assert len(calls) == 3  # ceil(20000 / 8192)
+        assert sum(calls) == 20_000
 
     def test_hill_path_passes_e_max(self, monkeypatch):
         seen = []

@@ -400,6 +400,15 @@ class TestBandEdges:
         assert meta["merged_gaps"] == [] and meta["dropped_slivers"] == []
         assert len(sweeps) <= _sweep_bound(e_max)
 
+    @pytest.mark.parametrize("period", [0.01, 1.0, 2 * math.pi, 10.0])
+    def test_full_period_free_closed_gaps_stay_closed(self, period):
+        # the same free potential, not known to be even: at its closed gaps
+        # M = +/-I, and D^2 - 4 from the entries stays below 1e-20
+        I, meta = hill.band_edges_report(
+            hill.from_callable(lambda x: np.zeros_like(x), period), 200.0)
+        assert I.edges == ((0.0, 200.0),) and meta["edges_found"] == 1
+        assert meta["merged_gaps"] == [] and meta["dropped_slivers"] == []
+
     def test_below_first_band_errors(self):
         with pytest.raises(NumericalError, match="no band"):
             hill.band_edges_report(hill.cosine(2.0), 0.5)
@@ -758,10 +767,20 @@ def _fourier_edges(q, period, modes=80):
                                    for d in blocks]))
 
 
+def _shifted_cosine(q, period, shift):
+    """q (1 + cos(2 pi (x + shift) / period)): the spectrum of ``cosine``,
+    but not known to be even, so its edges come from full-period sweeps."""
+    w = 2.0 * math.pi / period
+    return hill.from_callable(lambda x: q * (1.0 + np.cos(w * (x + shift))), period)
+
+
 @functools.lru_cache(maxsize=None)
-def _fourier_case(q, period, e_max):
+def _fourier_case(q, period, e_max, shift=0.0):
     """``band_edges_report`` and the oracle gaps (lo, hi) below e_max."""
-    V0 = hill.cosine(q, period) if q > 0.0 else hill.free(period)
+    if shift:
+        V0 = _shifted_cosine(q, period, shift)
+    else:
+        V0 = hill.cosine(q, period) if q > 0.0 else hill.free(period)
     I, meta = hill.band_edges_report(V0, e_max)
     e = _fourier_edges(q, period)
     gaps = [(a, b) for a, b in zip(e[1:-1:2], e[2::2]) if b < e_max]
@@ -775,19 +794,29 @@ def _matches(gap, gaps):
                for lo, hi in gaps)
 
 
-_FOURIER_CONFIGS = pytest.mark.parametrize("q, period, e_max", [
-    (2.0, 2.0 * math.pi, 8.0),
-    (2.0, 2.0 * math.pi, 9.0),
-    (2.0, 2.0 * math.pi, 30.0),
-    (1.0, 2.0 * math.pi, 4.0),
-    (1.0, 2.0 * math.pi, 8.0),
-    (1.0, 2.0 * math.pi, 10.0),
-    (1.0, 2.0 * math.pi, 12.0),
-    (0.3, 2.0 * math.pi, 60.0),
-    (5.0, 2.0 * math.pi, 100.0),
-    (0.0, 1.0, 50.0),
+# the shifted potentials take the full-period path: the entry form of
+# D^2 - 4 finds their narrow gaps, which a verdict on |D| > 2 missed at
+# 18.0318 (q2-30) and 30.1267 (q5-100)
+_FOURIER_CONFIGS = pytest.mark.parametrize("q, period, e_max, shift", [
+    (2.0, 2.0 * math.pi, 8.0, 0.0),
+    (2.0, 2.0 * math.pi, 9.0, 0.0),
+    (2.0, 2.0 * math.pi, 30.0, 0.0),
+    (1.0, 2.0 * math.pi, 4.0, 0.0),
+    (1.0, 2.0 * math.pi, 8.0, 0.0),
+    (1.0, 2.0 * math.pi, 10.0, 0.0),
+    (1.0, 2.0 * math.pi, 12.0, 0.0),
+    (0.3, 2.0 * math.pi, 60.0, 0.0),
+    (5.0, 2.0 * math.pi, 100.0, 0.0),
+    (0.0, 1.0, 50.0, 0.0),
+    (2.0, 2.0 * math.pi, 9.0, 0.7),
+    (2.0, 2.0 * math.pi, 30.0, 0.7),
+    (2.0, 2.0 * math.pi, 30.0, -0.7),
+    (1.0, 2.0 * math.pi, 12.0, 0.7),
+    (0.3, 2.0 * math.pi, 60.0, 0.7),
+    (5.0, 2.0 * math.pi, 100.0, 0.7),
 ], ids=["q2-8", "q2-9", "q2-30", "q1-4", "q1-8", "q1-10", "q1-12", "q0.3-60", "q5-100",
-        "free-50"])
+        "free-50", "shifted-q2-9", "shifted-q2-30", "shifted-back-q2-30", "shifted-q1-12",
+        "shifted-q0.3-60", "shifted-q5-100"])
 
 
 class TestFourierOracle:
@@ -795,11 +824,11 @@ class TestFourierOracle:
     whose eigenvalues converge far past 1e-12 at 80 modes."""
 
     @_FOURIER_CONFIGS
-    def test_gaps_match_fourier_blocks(self, q, period, e_max):
+    def test_gaps_match_fourier_blocks(self, q, period, e_max, shift):
         # every gap at least 1e-6 wide is found with both edges within
         # 1e-8 (1 + |E|), as is the bottom of the spectrum, and every gap
         # that hill reports or merges is a gap of the blocks
-        I, meta, bottom, gaps = _fourier_case(q, period, e_max)
+        I, meta, bottom, gaps = _fourier_case(q, period, e_max, shift)
         edges = np.asarray(I.edges)
         found = list(zip(edges[:-1, 1], edges[1:, 0]))
         assert abs(edges[0, 0] - bottom) <= 1e-8 * (1.0 + abs(bottom))
@@ -809,16 +838,27 @@ class TestFourierOracle:
             assert _matches(gap, gaps), gap
 
     @_FOURIER_CONFIGS
-    def test_gaps_wider_than_degenerate_found(self, q, period, e_max):
+    def test_gaps_wider_than_degenerate_found(self, q, period, e_max, shift):
         # every gap wider than the merge width is reported or merged: at
         # q = 2 up to 30 the 7.8e-8 gap at 18.0318, at q = 5 up to 100 the
         # 1.4e-7 gap at 30.1267, and at q = 1 up to 12 the 2.16e-6 gap at
         # 10.0143 with its full width
-        I, meta, _, gaps = _fourier_case(q, period, e_max)
+        I, meta, _, gaps = _fourier_case(q, period, e_max, shift)
         edges = np.asarray(I.edges)
         found = list(zip(edges[:-1, 1], edges[1:, 0])) + [tuple(g) for g in meta["merged_gaps"]]
         for gap in gaps:
             assert gap[1] - gap[0] <= hill._DEGENERATE_GAP or _matches(gap, found), gap
+
+    @pytest.mark.parametrize("q, e_max", [(2.0, 9.0), (2.0, 30.0), (1.0, 12.0), (0.3, 60.0),
+                                          (5.0, 100.0)])
+    def test_shifted_matches_cosine_twin(self, q, e_max):
+        # full-period and half-period edges of one spectrum, within two stop
+        # widths of each other (7.2e-11 at q = 2 up to 9; 2.5e-7 at q = 1 up
+        # to 12 with the verdict on |D| > 2)
+        got = _fourier_case(q, 2.0 * math.pi, e_max, 0.7)[0]
+        want = _fourier_case(q, 2.0 * math.pi, e_max)[0]
+        assert got.num_bands == want.num_bands
+        assert np.max(np.abs(np.subtract(got.edges, want.edges))) <= 2.0 * hill._EDGE_TOL
 
 
 def bisection_sweep(grid, e_max):

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,17 @@ def _ref_region_codes(z, band_set):
         codes[in_gap] = moebius._GAP
         gap_idx[in_gap] = k
     return codes, gap_idx
+
+
+def _generator(bits, seed):
+    """A Generator on PCG64 or PCG64DXSM; "PCG64-half-held" has drawn one
+    float32, so its bit generator holds the unused half of a 64-bit output."""
+    if bits == "PCG64-half-held":
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.random(dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"]
+        return rng
+    return np.random.Generator(getattr(np.random, bits)(seed))
 
 
 def _default_sampler(mob, rng, size):
@@ -335,6 +347,28 @@ class TestProofCaseBounds:
             assert ratio >= bound * (1 - 1e-12)
 
 
+# every variant, shift and ray on PCG64; each variant once on PCG64DXSM
+# and on a PCG64 holding a buffered 32-bit half
+_REFERENCE_CASES = [
+    *((v, w, ray, "PCG64") for v in moebius.VARIANTS for w in (0.0, -0.5, -5.0)
+      for ray in (False, True)),
+    *((v, -0.5, False, bits) for bits in ("PCG64DXSM", "PCG64-half-held")
+      for v in moebius.VARIANTS),
+]
+
+
+def _peak_memory(variant, omega, n):
+    """tracemalloc peak of one verify_distortion call on the q = 2 set."""
+    I = bandset.validate(_MATHIEU_Q2_EDGES)
+    rng = np.random.default_rng(1)  # outside: numpy.random is imported lazily
+    tracemalloc.start()
+    try:
+        moebius.verify_distortion(I, moebius.MoebiusMap(omega), variant, n=n, rng=rng)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestVerifyDistortion:
     @pytest.mark.parametrize("variant", ["uniform", "halfplane", "gap"])
     def test_no_violations(self, three_bands, rng, variant):
@@ -403,13 +437,13 @@ class TestVerifyDistortion:
         assert not np.any(keep[~valid])
         assert 0 < keep.sum() < z.size
 
-    @pytest.mark.parametrize("ray", [False, True])
-    @pytest.mark.parametrize("omega", [0.0, -0.5, -5.0])
-    @pytest.mark.parametrize("variant", moebius.VARIANTS)
-    def test_matches_reference_loop(self, ray, omega, variant):
+    @pytest.mark.parametrize("variant, omega, ray, bits", _REFERENCE_CASES,
+                             ids=[f"{v}-{w}-{ray}" + ("" if bits == "PCG64" else f"-{bits}")
+                                  for v, w, ray, bits in _REFERENCE_CASES])
+    def test_matches_reference_loop(self, ray, omega, variant, bits):
         I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
         mob = moebius.MoebiusMap(omega)
-        rng_got, rng_want = np.random.default_rng(7), np.random.default_rng(7)
+        rng_got, rng_want = (_generator(bits, 7) for _ in range(2))
         got = moebius.verify_distortion(I, mob, variant, n=1500, tolerance=-math.inf,
                                         rng=rng_got)
         want = _reference_verify(I, mob, variant, n=1500, tolerance=-math.inf,
@@ -424,7 +458,7 @@ class TestVerifyDistortion:
     def test_matches_reference_loop_across_chunks(self, monkeypatch, ray, variant):
         # the chunk size is not seen in a report: at 1024, a first batch of
         # 4 n = 10000 draws is 9 whole chunks and a partial one, and the n
-        # samples verified are 2 whole chunks and a partial one
+        # samples are checked in 9 whole buffers of 256 and a partial one
         monkeypatch.setattr(moebius, "_CHUNK", 1024)
         n = 2500
         I = bandset.validate([(1, 2), (3, 4), (6, 8)], ray_start=10.0 if ray else None)
@@ -467,32 +501,48 @@ class TestVerifyDistortion:
             assert 0 < sum(seen) <= share * sum(draws), variant
 
     def test_peak_memory(self):
-        # the r block of one batch (3 MiB), the kept z (1.5 MiB) and one chunk;
-        # whole-batch arrays peaked at 11.4-15.5 MiB
-        I = bandset.validate(_MATHIEU_Q2_EDGES)
+        # two chunk buffers of draws (512 KiB), the kept indices of a chunk
+        # and one 8192-sample buffer with its checks: 1.2-1.5 MiB.  Holding
+        # a round's log r block and every kept z peaked at 5.5-6.1 MiB
         for variant in moebius.VARIANTS:
             for omega in (0.0, -0.5, -5.0):
-                tracemalloc.start()
-                try:
-                    moebius.verify_distortion(I, moebius.MoebiusMap(omega), variant,
-                                              n=100_000, rng=np.random.default_rng(1))
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak < 8 * 2**20, (variant, omega)
+                assert _peak_memory(variant, omega, 100_000) < 2.5 * 2**20, (variant, omega)
 
     def test_peak_memory_million_samples(self):
-        # r block 8 MiB (batches stop at 2^20 draws) and z 15.3 MiB; 91.6 MiB
-        # before the chunked sampler
+        # the same bound at 2 10^6 samples: no array grows with n.  Holding
+        # the log r block and every kept z peaked at 24.8 MiB for 10^6
+        assert _peak_memory("uniform", 0.0, 2_000_000) < 2.5 * 2**20
+
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.SFC64,
+                                      np.random.Philox])
+    def test_refuses_generators_that_cannot_jump(self, three_bands, bits):
+        # MT19937 and SFC64 have no advance(); Philox buffers its outputs,
+        # so its jump is not the same as drawing
+        rng = np.random.Generator(bits(1))
+        state = pickle.dumps(rng.bit_generator.state)  # it holds arrays
+        with pytest.raises(PreconditionError, match=bits.__name__):
+            moebius.verify_distortion(three_bands, moebius.MoebiusMap(-0.5), rng=rng)
+        assert pickle.dumps(rng.bit_generator.state) == state
+
+    @pytest.mark.parametrize("variant, omega, rejected, min_quotient", [
+        ("halfplane", 0.0, 61288, 3.000100347556378),
+        ("gap", 0.0, 1846239, 2.000501834653841),
+        ("uniform", 0.0, 40742, 13.791576846474243),
+        ("halfplane", -0.5, 56487, 3.00009865333915),
+        ("gap", -0.5, 2372921, 2.000023408476611),
+        ("uniform", -0.5, 40494, 13.791569058092392),
+        ("halfplane", -5.0, 44546, 3.000085908750238),
+        ("gap", -5.0, 6683158, 2.000466354560915),
+        ("uniform", -5.0, 38557, 13.791510470726308),
+    ])
+    def test_workload_stream_pinned(self, variant, omega, rejected, min_quotient):
+        # the nine distortion-verify configs at seed 1, as drawing whole
+        # log r blocks reported them
         I = bandset.validate(_MATHIEU_Q2_EDGES)
-        tracemalloc.start()
-        try:
-            moebius.verify_distortion(I, moebius.MoebiusMap(0.0), "uniform", n=10**6,
-                                      rng=np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        report = moebius.verify_distortion(I, moebius.MoebiusMap(omega), variant,
+                                           n=100_000, rng=np.random.default_rng(1))
+        assert (report.rejected, report.min_quotient) == (rejected, min_quotient)
+        assert report.violations == []
 
     def test_report_json_shape(self, three_bands, rng):
         report = moebius.verify_distortion(
