@@ -275,7 +275,6 @@ class Background:
 
     band_set: bandset.BandSet
     length: float
-    boundary: str
     spacing: float
     x: np.ndarray
     v0_samples: np.ndarray
@@ -302,9 +301,10 @@ def build_background(cfg: Cfg) -> Background:
     else:
         length = grid.number("periods", required=True) * v0.period
     n = grid.integer("points", required=True, hi=operators.SOLVER_CAP)
-    boundary = grid.string("boundary", default="dirichlet",
-                           choices=("dirichlet", "periodic"))
-    h, x = operators.grid_nodes(length, n, boundary)
+    # every model is a Dirichlet box; the key stays so that a periodic
+    # request is refused by name instead of ignored
+    grid.string("boundary", default="dirichlet", choices=("dirichlet",))
+    h, x = operators.grid_nodes(length, n)
 
     I, _ = _band_set(cfg, v0)
     bands_cfg = cfg.sub("bands")
@@ -318,7 +318,7 @@ def build_background(cfg: Cfg) -> Background:
     delta = cfg.number_or_auto("delta")
     if delta is None:
         delta = operators.default_delta(h, I)
-    return Background(band_set=I, length=length, boundary=boundary, spacing=h,
+    return Background(band_set=I, length=length, spacing=h,
                       x=x, v0_samples=np.asarray(v0.evaluate(x), dtype=float),
                       v0_inf=v0.sup_norm, p=p, delta=delta)
 
@@ -326,8 +326,7 @@ def build_background(cfg: Cfg) -> Background:
 def build_model(cfg: Cfg, bg: Background, coupling: float = 1.0) -> Model:
     from . import operators, schatten
     v_samples = perturbation_samples(cfg.sub("v").doc, bg.x, coupling)
-    op_h = operators.discretize(bg.v0_samples, v_samples, bg.length, bg.x.size,
-                                bg.boundary)
+    op_h = operators.discretize(bg.v0_samples, v_samples, bg.length, bg.x.size)
     nb = schatten.norm_bundle(bg.p, v_samples, bg.spacing, v0_inf=bg.v0_inf)
     return Model(op_h=op_h, v_samples=v_samples, nb=nb)
 

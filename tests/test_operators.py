@@ -21,14 +21,14 @@ from bandlt.errors import (
 from conftest import dense
 
 
-def make_op(diagonal, coupling=0.0, boundary="periodic"):
+def make_op(diagonal, coupling=0.0):
     """An operator on unit spacing from its diagonal and its couplings
-    (a scalar or N - 1 values); the corner stays 0."""
+    (a scalar or N - 1 values)."""
     diagonal = np.asarray(diagonal)
     n = diagonal.size
     return operators.DiscretizedOperator(
-        size=n, spacing=1.0, length=float(n + 1), boundary=boundary, diagonal=diagonal,
-        coupling=np.zeros(n - 1) + coupling, corner=0.0,
+        size=n, spacing=1.0, length=float(n + 1), diagonal=diagonal,
+        coupling=np.zeros(n - 1) + coupling,
     )
 
 
@@ -65,12 +65,6 @@ class TestDiscretize:
         kinetic = dense(operators.discretize(0.0, 0.0, length=9.0, n=8))
         assert np.array_equal(dense(op), kinetic + np.diag(v0) + np.diag(v))
 
-    def test_periodic_corners(self):
-        op = operators.discretize(0.0, 0.0, length=4.0, n=4, boundary="periodic")
-        assert op.spacing == 1.0
-        assert dense(op)[0, -1] == -1.0
-        assert dense(op)[-1, 0] == -1.0
-
     def test_negative_background_rejected(self):
         with pytest.raises(HypothesisViolationError):
             operators.discretize([-0.1, 0.0, 0.0], 0.0, length=4.0, n=3)
@@ -90,8 +84,6 @@ class TestDiscretize:
     def test_grid_positions(self):
         d = operators.discretize(0.0, 0.0, length=4.0, n=3)
         assert np.allclose(d.grid(), [1.0, 2.0, 3.0])
-        p = operators.discretize(0.0, 0.0, length=4.0, n=4, boundary="periodic")
-        assert np.allclose(p.grid(), [0.0, 1.0, 2.0, 3.0])
 
 
 class TestEigenvalues:
@@ -113,7 +105,7 @@ class TestEigenvalues:
 
     def test_zero_coupling_refused(self):
         # the Aberth evaluator's transfer products divide by every coupling
-        op = make_op([1.0 + 1j, 2.0, 3.0 + 0.5j, 4.0], [-1.0, 0.0, -1.0], "dirichlet")
+        op = make_op([1.0 + 1j, 2.0, 3.0 + 0.5j, 4.0], [-1.0, 0.0, -1.0])
         with pytest.raises(PreconditionError, match="zero coupling"):
             operators.eigenvalues(op)
 
@@ -123,10 +115,13 @@ class TestEigenvalues:
         assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(dense(op)))
 
 
-def random_model(rng, n, boundary):
-    """A discretized model with random background and complex V."""
+def random_model(rng, n, background):
+    """A box model with complex V over a background V0 of random samples
+    ("dirichlet") or of one random three-node cell repeated ("periodic"),
+    whose Hermitian part then has clustered band-like eigenvalues."""
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return operators.discretize(rng.uniform(0, 2, n), v, float(n + 1), n, boundary)
+    v0 = rng.uniform(0, 2, n if background == "dirichlet" else 3)
+    return operators.discretize(np.resize(v0, n), v, float(n + 1), n)
 
 
 def dense_abscissa(op):
@@ -143,15 +138,15 @@ def two_way_distance(a, b):
                np.max(d.min(axis=0) / (1 + np.abs(b))))
 
 
-def desk_model(n=2000, boundary="dirichlet"):
+def desk_model(n=2000):
     """1 + cos x on 40 periods with the bump (-3 + 2i) of half-width 6."""
     length = 40 * 2 * np.pi
-    x = operators.discretize(0.0, 0.0, length, n, boundary).grid()
+    x = operators.grid_nodes(length, n)[1]
     t = (x - length / 2.0) / 6.0
     v = np.zeros(n, dtype=complex)
     inside = np.abs(t) < 1.0
     v[inside] = (-3.0 + 2.0j) * np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-    return operators.discretize(1.0 + np.cos(x), v, length, n, boundary)
+    return operators.discretize(1.0 + np.cos(x), v, length, n)
 
 
 class TestStructuredSpectra:
@@ -159,9 +154,8 @@ class TestStructuredSpectra:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60),
-           boundary=st.sampled_from(["dirichlet", "periodic"]),
            support=st.sampled_from(["empty", "partial", "full"]))
-    def test_against_dense_oracle(self, seed, n, boundary, support):
+    def test_against_dense_oracle(self, seed, n, support):
         rng = np.random.default_rng(seed)
         v = rng.uniform(0.1, 3.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
         if support == "empty":
@@ -169,8 +163,8 @@ class TestStructuredSpectra:
         elif support == "partial":
             v[rng.uniform(size=n) < 0.6] = 0.0
         v0 = rng.uniform(0.0, 2.0, n)
-        h0 = operators.discretize(v0, 0.0, 10.0, n, boundary)
-        h = operators.discretize(v0, v, 10.0, n, boundary)
+        h0 = operators.discretize(v0, 0.0, 10.0, n)
+        h = operators.discretize(v0, v, 10.0, n)
         a = dense(h)
         assert two_way_distance(operators.eigenvalues(h), np.linalg.eigvals(a)) <= 1e-10
         dense_h0 = np.linalg.eigvalsh(dense(h0))
@@ -179,34 +173,24 @@ class TestStructuredSpectra:
         assert operators.numerical_range_abscissa(h) == pytest.approx(
             w1, rel=0, abs=1e-10 * (1 + abs(w1)))
 
-    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-    def test_canonical_order_and_ring_degeneracy(self, boundary):
-        # a smooth bump leaves near-degenerate ring pairs; the roots come
-        # back sorted by (Re, Im)
-        op = desk_model(400, boundary)
+    def test_canonical_order(self):
+        # the roots come back sorted by (Re, Im)
+        op = desk_model(400)
         vals = operators.eigenvalues(op)
         assert np.array_equal(vals, vals[np.lexsort((vals.imag, vals.real))])
         assert two_way_distance(vals, np.linalg.eigvals(dense(op))) <= 1e-10
 
-    def test_ring_point_defect(self):
-        # on a free ring the modes vanishing at the defect keep real
-        # eigenvalues, which folding from node 0 shares with leading blocks
-        for n in (24, 38, 66):
-            v = np.zeros(n, dtype=complex)
-            v[n // 3] = 0.7 + 0.9j
-            op = operators.discretize(0.0, v, float(n), n, "periodic")
-            oracle = np.linalg.eigvals(dense(op))
-            assert two_way_distance(operators.eigenvalues(op), oracle) <= 1e-10
-
-    def test_ring_pair_split_off_the_mirror_line(self):
-        # an imaginary step on a free ring splits each degenerate pair along
-        # Re; starts split only along Im would stay on the pair's mirror line
-        n, length = 500, 16 * np.pi
-        x = operators.discretize(0.0, 0.0, length, n, "periodic").grid()
-        op = operators.discretize(0.0, np.where(np.abs(x - 25.0) < 0.5, 0.8j, 0.0),
-                                  length, n, "periodic")
-        oracle = np.linalg.eigvals(dense(op))
-        assert two_way_distance(operators.eigenvalues(op), oracle) <= 1e-10
+    def test_desk_box_sweeps(self, monkeypatch):
+        # one _newton_ratio call per sweep, and one more for a sweep with a
+        # non-finite ratio; the staggered starts of _aberth certify the
+        # N = 800 desk box in 21 sweeps, and in 34 without the stagger
+        calls = []
+        newton_ratio = operators._newton_ratio
+        monkeypatch.setattr(operators, "_newton_ratio",
+                            lambda *args: calls.append(1) or newton_ratio(*args))
+        vals = operators.eigenvalues(desk_model(800))
+        assert vals.shape == (800,)
+        assert len(calls) <= 25
 
     def test_uncertified_roots_exit_4(self, monkeypatch, tmp_path):
         monkeypatch.setattr(operators, "_ABERTH_SWEEPS", 1)
@@ -236,24 +220,24 @@ class TestStructuredSpectra:
         assert peak < n * n * 16 / 4
 
 
-# The evaluator that operators._newton_ratio replaced, kept verbatim as its
-# oracle: one Python step of the folded 2x2 block LU per node pair.
-def fold_ratio(a, u, corner, z: np.ndarray) -> np.ndarray:
+# The evaluator that operators._newton_ratio replaced, kept as its oracle:
+# one Python step of the folded 2x2 block LU per node pair, in full 2x2
+# algebra, with no use of the box's diagonal blocks.
+def fold_ratio(a, u, z: np.ndarray) -> np.ndarray:
     """p/p' of p(z) = det(A - z) at every z, in one O(N) sweep.
 
-    A is complex symmetric (diagonal ``a``, couplings ``u`` = A[k, k+1],
-    ``corner`` = A[N-1, 0] or 0).  Folded into node pairs (j + N mod 2,
-    N-1-j), after node 0 alone for odd N, it is block tridiagonal: the
-    sweep is the block LU of A - z with 2x2 Schur complements S, their
-    z-derivatives T and g = sum tr(S^-1 T) = p'/p.  A degenerate ring
-    pair drops one block's rank by 2, so p/p' stays accurate near it.
+    A is complex symmetric tridiagonal (diagonal ``a``, couplings ``u`` =
+    A[k, k+1]).  Folded into node pairs (j + N mod 2, N-1-j), after node 0
+    alone for odd N, it is block tridiagonal: the sweep is the block LU of
+    A - z with 2x2 Schur complements S, their z-derivatives T and
+    g = sum tr(S^-1 T) = p'/p.
     """
     n, odd, nb = a.size, a.size % 2, a.size // 2
     lo, hi = np.arange(nb) + odd, n - 1 - np.arange(nb)
     w = np.zeros(nb, dtype=complex)
-    w[0], w[-1] = 0.0 if odd else corner, u[lo[-1]]
+    w[-1] = u[lo[-1]]
     k1 = np.concatenate(([u[0] if odd else 0.0], u[lo[1:] - 1]))
-    k2 = np.concatenate(([corner if odd else 0.0], u[hi[1:]]))
+    k2 = np.concatenate(([0.0], u[hi[1:]]))
     # the block before the first: node 0 alone (x = S^-1, y = x T x) or none
     x11 = x22 = x12 = 1.0 / (a[0] - z) if odd else np.zeros_like(z)
     y11 = y22 = y12 = -x11 * x11
@@ -276,8 +260,8 @@ def fold_ratio(a, u, corner, z: np.ndarray) -> np.ndarray:
     return det / (det * g + s22 * t11 + s11 * t22 - 2.0 * s12 * t12)
 
 
-def ratio_model(seed, n, boundary, imag):
-    """A model, its (a, u, corner) and points near and away from its
+def ratio_model(seed, n, imag):
+    """A box model, its (a, u) and points near and away from its
     eigenvalues: offsets 1e-3, 1e-6 or 1e-9 times 1 + |lambda| from each
     eigenvalue, and 20 points over the spectrum's real range."""
     rng = np.random.default_rng(seed)
@@ -286,51 +270,50 @@ def ratio_model(seed, n, boundary, imag):
     if imag == "constant":
         v = v.real + 0.5j
     op = operators.discretize(rng.uniform(0.0, 2.0, n), v,
-                              rng.uniform(0.05, 0.5) * (n + 1), n, boundary)
+                              rng.uniform(0.05, 0.5) * (n + 1), n)
     m = dense(op)
     ev = np.linalg.eigvals(m)
     near = ev + 10.0 ** -rng.choice([3, 6, 9], n) * (1 + abs(ev)) * np.exp(
         2j * np.pi * rng.uniform(size=n))
     away = rng.uniform(ev.real.min(), ev.real.max(), 20) + 1j * rng.uniform(-3, 3, 20)
-    return np.diag(m).copy(), np.diag(m, 1).copy(), m[n - 1, 0], np.concatenate([near, away])
+    return np.diag(m).copy(), np.diag(m, 1).copy(), np.concatenate([near, away])
 
 
 class TestNewtonRatio:
-    """The blocked transfer products of _newton_ratio against the fold."""
+    """The two chains of _newton_ratio against the fold."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300),
-           boundary=st.sampled_from(["dirichlet", "periodic"]),
            imag=st.sampled_from(["constant", "varying"]))
-    @example(seed=1, n=3, boundary="periodic", imag="varying")  # node 0 and one pair
-    @example(seed=2, n=5, boundary="periodic", imag="varying")  # no interior pair
-    @example(seed=3, n=52, boundary="periodic", imag="varying")  # 24 steps, 2 full runs
-    @example(seed=4, n=53, boundary="dirichlet", imag="constant")
-    @example(seed=5, n=41, boundary="periodic", imag="constant")  # 18 steps, first run padded
-    @example(seed=6, n=300, boundary="periodic", imag="varying")
-    def test_against_fold(self, seed, n, boundary, imag):
+    @example(seed=1, n=3, imag="varying")  # node 0 and one pair
+    @example(seed=2, n=5, imag="varying")  # no interior pair
+    @example(seed=3, n=52, imag="varying")  # 24 steps, 2 full runs
+    @example(seed=4, n=53, imag="constant")
+    @example(seed=5, n=41, imag="constant")  # 18 steps, first run padded
+    @example(seed=6, n=300, imag="varying")
+    def test_against_fold(self, seed, n, imag):
         # near a root p/p' is the distance to it, so the bound is the dense
         # oracle's 1e-10 on the root each implies.  The reference is the fold
         # run in extended long double: in double the fold itself strays by up
         # to 2e-9 (1 + |z|) on such models, which sets the bound where long
         # double is no wider than double
-        a, u, corner, z = ratio_model(seed, n, boundary, imag)
-        got = operators._newton_ratio(a, u, corner, z)
-        ref = fold_ratio(*(x.astype(np.clongdouble) for x in (a, u, np.asarray(corner), z)))
+        a, u, z = ratio_model(seed, n, imag)
+        got = operators._newton_ratio(a, u, z)
+        ref = fold_ratio(*(x.astype(np.clongdouble) for x in (a, u, z)))
         tol = 1e-10 if np.finfo(np.longdouble).eps < 1e-18 else 1e-8
         assert np.all(abs(got - ref) <= tol * (1.0 + abs(z)))
 
-    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-    def test_memory_at_desk_size(self, boundary):
+    @pytest.mark.parametrize("background", ["dirichlet", "periodic"])
+    def test_memory_at_desk_size(self, background):
         # root chunks keep the blocked arrays for all N roots within the
         # pair-sum buffer of _aberth, _PAIR_ROWS x N complex
         n = 800
-        op = desk_model(n, boundary)
+        op = random_model(np.random.default_rng(n), n, background)
         a, u = op.diagonal.astype(complex), op.coupling
         z = operators._hermitian_spectrum(op) + 1e-3j
         tracemalloc.start()
         try:
-            ratio = operators._newton_ratio(a, u, op.corner, z)
+            ratio = operators._newton_ratio(a, u, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,8 +354,8 @@ class TestNumericalRange:
     def test_non_normal_abscissa_left_of_spectrum(self, rng):
         # as for a Jordan block, the abscissa of a non-normal model is the
         # Hermitian-part minimum, strictly left of the spectrum
-        for boundary in ("dirichlet", "periodic"):
-            op = random_model(rng, 12, boundary)
+        for background in ("dirichlet", "periodic"):
+            op = random_model(rng, 12, background)
             w1 = operators.numerical_range_abscissa(op)
             assert w1 == pytest.approx(dense_abscissa(op), abs=1e-12)
             assert w1 < np.min(np.linalg.eigvals(dense(op)).real) - 1e-3
@@ -438,13 +421,13 @@ class TestResolvent:
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
-    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("background", ["dirichlet", "periodic"])
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_against_dense_inverse(self, n, boundary):
+    def test_against_dense_inverse(self, n, background):
         # left of the numerical range |(A - z)^-1| <= 1, so absolute error
         # is relative error
         rng = np.random.default_rng(2000 + n)
-        op = random_model(rng, n, boundary)
+        op = random_model(rng, n, background)
         z = operators.numerical_range_abscissa(op) - 1.0 + 0.5j
         cols = rng.permutation(n)[:max(1, n // 2)]
         ref = np.linalg.inv(dense(op) - z * np.eye(n))[:, cols]
@@ -482,12 +465,12 @@ class TestResolvent:
 
 
 class TestInverseIteration:
-    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("background", ["dirichlet", "periodic"])
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_against_dense_eigenvectors(self, n, boundary):
-        # band solves in natural (box) or zigzag (ring) order give, up to a
-        # phase, the unit eigenvectors of dense LAPACK
-        op = random_model(np.random.default_rng(1000 + n), n, boundary)
+    def test_against_dense_eigenvectors(self, n, background):
+        # band solves give, up to a phase, the unit eigenvectors of dense
+        # LAPACK
+        op = random_model(np.random.default_rng(1000 + n), n, background)
         vals, vecs = np.linalg.eig(dense(op))
         for z in operators.eigenvalues(op):
             v = operators._inverse_iteration_vector(op, complex(z))
@@ -503,7 +486,7 @@ class TestBoundaryArtifacts:
         diag = np.full(n, 1.0)
         diag[0] = 5.0       # eigenvector e_0 hugs the left wall
         diag[10] = 7.0      # eigenvector e_10 is interior
-        op = make_op(diag, boundary="dirichlet")
+        op = make_op(diag)
         I = bandset.validate([(0.5, 2.0)])
         report = operators.classify_discrete(operators.eigenvalues(op), I, delta=0.5)
         assert set(np.round(report.discrete_candidates.real, 6)) == {5.0, 7.0}
