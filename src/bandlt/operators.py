@@ -8,12 +8,16 @@ complex V makes it complex symmetric (non-normal), which is the whole
 point.
 
 No dense eigensolver runs.  The tridiagonal spectrum of the Hermitian
-part is the spectrum of a real model, its minimum is the numerical-range
-abscissa omega_1, and it seeds the Ehrlich-Aberth iteration on
-det(A - z) for complex V, whose roots are certified or refused with
-NumericalError (exit 4).  Each sweep takes p/p' from two scalar chains,
-one from each end of the box, that meet in a middle 2x2 block; each
-chain runs in about sqrt(N) runs, all runs advanced together.
+part is the spectrum of a real model and its minimum is the
+numerical-range abscissa omega_1.  For complex V the Ehrlich-Aberth
+iteration on det(A - z) starts from the first-order eigenvalues, the
+Hermitian spectrum moved by i <psi_k, Im V psi_k>, which a second
+tridiagonal eigensolve gives as a difference quotient (a strong
+absorber restarts from the Hermitian spectrum plus 1e-3 i); its roots
+are certified or refused with NumericalError (exit 4).  Each sweep
+takes p/p' from two scalar chains, one from each end of the box, that
+meet in a middle 2x2 block; each chain runs in about sqrt(N) runs, all
+runs advanced together.
 Eigenvalues are cached, then classified against a band set by a
 distance threshold.
 LAPACK band solves of A - z give resolvent columns and the inverse
@@ -41,8 +45,10 @@ BOUNDARY_MARGIN = 5
 BOUNDARY_MASS_THRESHOLD = 0.5
 _INVERSE_ITERATIONS = 3
 _ABERTH_SWEEPS = 100
+_TRIAL_SWEEPS = 4
 _ABERTH_TOL = 1e-12
-_PAIR_ROWS = 256
+_NEWTON_ROWS = 256
+_PAIR_BYTES = 1 << 20
 
 
 @dataclass
@@ -123,8 +129,7 @@ def discretize(v0, v, length: float, n: int) -> DiscretizedOperator:
 
 
 def _band(op: DiscretizedOperator, z: complex = 0.0) -> np.ndarray:
-    """LAPACK band rows ab[1 + i - j, j] = (A - z)[i, j]; rows 1.. are the
-    lower form that ``eigvals_banded`` reads."""
+    """LAPACK band rows ab[1 + i - j, j] = (A - z)[i, j]."""
     ab = np.zeros((3, op.size), dtype=np.result_type(op.diagonal, op.coupling, z))
     ab[1] = op.diagonal - z
     ab[0, 1:] = ab[2, :-1] = op.coupling
@@ -139,14 +144,21 @@ def _band_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericalError(f"band LU of A - z failed: {exc}") from exc
 
 
+def _real_spectrum(diagonal: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
+    this diagonal and these couplings: one LAPACK band eigensolve."""
+    ab = np.zeros((2, diagonal.size))
+    ab[0], ab[1, :-1] = diagonal, coupling
+    try:
+        return scipy.linalg.eigvals_banded(ab, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+
+
 def _hermitian_spectrum(op: DiscretizedOperator) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part (A + A*)/2 = Re A, cached:
-    one LAPACK band eigensolve on the lower rows of :func:`_band`."""
+    """Ascending eigenvalues of the Hermitian part (A + A*)/2 = Re A, cached."""
     if op._hermitian is None:
-        try:
-            op._hermitian = scipy.linalg.eigvals_banded(_band(op)[1:].real, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Hermitian-part eigensolver failed: {exc}") from exc
+        op._hermitian = _real_spectrum(op.diagonal.real, op.coupling)
     return op._hermitian
 
 
@@ -169,7 +181,7 @@ def _newton_ratio(a, u, z: np.ndarray) -> np.ndarray:
     renormalised after every run and stays consistent with q near its
     poles.  Only the middle block, where the chains meet through one
     coupling, closes with a 2x2 determinant.  Roots go in chunks that keep
-    the run arrays within _PAIR_ROWS x N / 4 complex.
+    the run arrays within _NEWTON_ROWS x N / 4 complex.
     """
     n, odd, nb = a.size, a.size % 2, a.size // 2
     lo, hi = np.arange(nb) + odd, n - 1 - np.arange(nb)
@@ -181,7 +193,7 @@ def _newton_ratio(a, u, z: np.ndarray) -> np.ndarray:
     if not np.any(np.imag(k)):
         k = np.real(k)  # complex division would round k/k = 1
     runs = _transfer_tables(d[:, 1:-1], k[:, 1:-1]) if nb > 1 else None
-    rows = max(1, _PAIR_ROWS * n // (64 * (runs[0].shape[1] if runs else 1)))
+    rows = max(1, _NEWTON_ROWS * n // (64 * (runs[0].shape[1] if runs else 1)))
     out = np.empty(z.shape, dtype=complex)
     for c in range(0, z.size, rows):
         out[c:c + rows] = _newton_chunk(a[0] if odd else None, d, k, u[lo[-1]], runs,
@@ -279,21 +291,55 @@ def _run_transfers(runs, z):
 
 
 def _aberth(a, u, herm: np.ndarray) -> np.ndarray:
-    """Certified Ehrlich-Aberth roots of det(A - z), started from the
-    Hermitian-part eigenvalues ``herm`` + 1e-3 i.  Odd indices move by a
-    further 5e-4 (1 + i): starts on one horizontal line push each other
-    only along it, as every difference of two is real, and staggering
-    neighbours gives their pair terms the imaginary part the roots move
-    by (the N = 800 desk box certifies in 21 sweeps with it, 34 without).
+    """Certified Ehrlich-Aberth roots of det(A - z).
+
+    The first start is the first-order spectrum herm_k + i <psi_k, Im A
+    psi_k>, for Re A psi_k = herm_k psi_k.  By Hellmann-Feynman each shift
+    is the derivative of the spectrum of Re A + t Im A at t = 0: one more
+    tridiagonal eigensolve gives it as a difference quotient of ascending
+    spectra, at a step t of 1e-6 (1 + max|herm|) on Im A scaled to unit
+    max, so that no magnitude of Im A overflows or underflows the step.
+    Far from first order (a strong absorber, whose eigenvalues leave the
+    first-order ones behind) more than half the roots still move after
+    _TRIAL_SWEEPS sweeps; then, or if the run does not certify, it
+    restarts from herm + 1e-3 i.
+    Odd indices of either start move by a further 5e-4 (1 + i).  Two
+    starts closer than the freeze tolerance swap places in one sweep and
+    freeze there, and the near-double pairs of a symmetric box have such
+    first-order starts (3e-5 off the roots on the N = 800 desk box); on
+    the line, every difference of two starts would be real.
     A root freezes once its correction is <= 1e-12 (1 + |z|);
-    NumericalError unless all N freeze within _ABERTH_SWEEPS sweeps,
-    finite and right of omega_1 - 1e-10 (1 + |omega_1|).
+    NumericalError unless all N freeze within _ABERTH_SWEEPS sweeps of one
+    run, finite and right of omega_1 - 1e-10 (1 + |omega_1|).
     """
     n = a.size
-    z = herm + 1e-3j + 5e-4 * (1 + 1j) * (np.arange(n) % 2)
+    scale = np.max(abs(a.imag))
+    t = 1e-6 * (1.0 + np.max(abs(herm)))
+    stagger = 5e-4 * (1 + 1j) * (np.arange(n) % 2)
+    shift = (_real_spectrum(a.real + t * (a.imag / scale), u) - herm) / t * scale
+    z = herm + stagger + 1j * shift
+    active = _aberth_sweeps(a, u, z, trial=True)
+    if active.size:
+        z = herm + 1e-3j + stagger
+        active = _aberth_sweeps(a, u, z)
+    w1 = herm[0]
+    if active.size or not (np.all(np.isfinite(z)) and z.real.min() >= w1 - 1e-10 * (1 + abs(w1))):
+        raise NumericalError(
+            f"Aberth eigenvalues not certified: {active.size} of {n} unconverged "
+            f"after {_ABERTH_SWEEPS} sweeps, min Re {z.real.min()!r}, omega_1 {w1!r}")
+    return z
+
+
+def _aberth_sweeps(a, u, z: np.ndarray, trial: bool = False) -> np.ndarray:
+    """Aberth sweeps on the starts ``z``, in place, until every root
+    freezes or _ABERTH_SWEEPS pass: the indices still moving.  A trial
+    stops after _TRIAL_SWEEPS sweeps if more than half still move.  Pair
+    sums run in row blocks of at most _PAIR_BYTES."""
+    n = z.size
     active = np.arange(n)
-    buf = np.empty((min(_PAIR_ROWS, n), n), dtype=complex)
-    for _ in range(_ABERTH_SWEEPS):
+    block = max(1, _PAIR_BYTES // (16 * n))
+    buf = np.empty((min(block, n), n), dtype=complex)
+    for sweep in range(1, _ABERTH_SWEEPS + 1):
         # a Schur complement singular exactly at z gives no finite ratio:
         # step off it; a ratio that stays non-finite never converges
         with np.errstate(all="ignore"):
@@ -303,22 +349,17 @@ def _aberth(a, u, herm: np.ndarray) -> np.ndarray:
             if bad.any():
                 newton[bad] = _newton_ratio(a, u, zs[bad] + 1e-15j * (1 + abs(zs[bad])))
             pair = np.empty_like(zs)
-            for lo in range(0, active.size, _PAIR_ROWS):
-                rows = active[lo:lo + _PAIR_ROWS]
+            for lo in range(0, active.size, block):
+                rows = active[lo:lo + block]
                 d = np.subtract(z[rows, None], z, out=buf[:rows.size])
                 d[np.arange(rows.size), rows] = np.inf
                 pair[lo:lo + rows.size] = np.reciprocal(d, out=d).sum(axis=1)
             step = newton / (1.0 - newton * pair)
         z[active] = zs - step
         active = active[~(abs(step) <= _ABERTH_TOL * (1.0 + abs(z[active])))]
-        if active.size == 0:
+        if active.size == 0 or (trial and sweep == _TRIAL_SWEEPS and 2 * active.size > n):
             break
-    w1 = herm[0]
-    if active.size or not (np.all(np.isfinite(z)) and z.real.min() >= w1 - 1e-10 * (1 + abs(w1))):
-        raise NumericalError(
-            f"Aberth eigenvalues not certified: {active.size} of {n} unconverged "
-            f"after {_ABERTH_SWEEPS} sweeps, min Re {z.real.min()!r}, omega_1 {w1!r}")
-    return z
+    return active
 
 
 def eigenvalues(op: DiscretizedOperator) -> np.ndarray:

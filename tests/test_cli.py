@@ -569,6 +569,31 @@ class TestConfigFuzz:
         assert not failures, failures[:10]
 
 
+class TestHostileImaginaryPart:
+    """Magnitudes of Im V that the first-order Aberth starts divide by or
+    scale to, under warnings as errors: ``spectrum`` certifies finite
+    eigenvalues or exits 4, and ``ltcheck`` and ``sweep`` exit 4 where the
+    L^p norm of V underflows."""
+
+    @pytest.mark.parametrize("v, statuses", [
+        ({"coupling": 1e-320}, (0, 4, 4)),
+        ({"type": "samples", "values": [[0.0, 1e-300 if i == 100 else 0.0]
+                                        for i in range(300)]}, (0, 4, 4)),
+        ({"amplitude": [0.0, 1e300]}, (4, 4, 4)),
+    ], ids=["coupling-1e-320", "one-node-1e-300i", "bump-1e300i"])
+    def test_status_and_finite_eigenvalues(self, tmp_path, bands_file, v, statuses):
+        doc = spectrum_config(bands_file, theorem="T1", alphas=[1.0, 0.5])
+        doc["v"] = {**doc["v"], **v}
+        for command, expected in zip(("spectrum", "ltcheck", "sweep"), statuses):
+            status, result = _bounded_run(doc, command, tmp_path)
+            assert status == expected, (command, result)
+            if status == 0:
+                vals = np.array([complex(*z) for z in result["eigenvalues"]])
+                assert vals.size == 300 and np.all(np.isfinite(vals))
+            else:
+                assert "not certified" in result["error"] or "underflowed" in result["error"]
+
+
 class TestBandsCommand:
     def test_free_potential_single_band(self, tmp_path):
         doc = {

@@ -149,6 +149,19 @@ def desk_model(n=2000):
     return operators.discretize(1.0 + np.cos(x), v, length, n)
 
 
+def absorber_model(n, periods, halfwidth, amplitude):
+    """1 + cos x on ``periods`` periods with a bump of this complex
+    amplitude and half-width at the centre: criterion 12's box is
+    (1500, 12, 3.0, 5i alpha)."""
+    length = periods * 2 * np.pi
+    x = operators.grid_nodes(length, n)[1]
+    t = (x - length / 2.0) / halfwidth
+    v = np.zeros(n, dtype=complex)
+    inside = np.abs(t) < 1.0
+    v[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
+    return operators.discretize(1.0 + np.cos(x), v, length, n)
+
+
 class TestStructuredSpectra:
     """Aberth roots, Hermitian-part spectra and omega_1 against dense LAPACK."""
 
@@ -182,15 +195,51 @@ class TestStructuredSpectra:
 
     def test_desk_box_sweeps(self, monkeypatch):
         # one _newton_ratio call per sweep, and one more for a sweep with a
-        # non-finite ratio; the staggered starts of _aberth certify the
-        # N = 800 desk box in 21 sweeps, and in 34 without the stagger
-        calls = []
+        # non-finite ratio.  From first-order starts the N = 800 desk box
+        # certifies in 19 sweeps and 5130 root evaluations; from the line
+        # herm + 1e-3 i it took 21 sweeps and 7036 evaluations.  Its
+        # centred bump leaves near-double pairs: without the odd-index
+        # stagger their first-order starts lie closer than the freeze
+        # tolerance, swap places in one sweep and freeze 3e-5 from the roots
+        sizes = self.ratio_sizes(monkeypatch)
+        op = desk_model(800)
+        vals = operators.eigenvalues(op)
+        assert vals.shape == (800,)
+        assert len(sizes) <= 25
+        assert sum(sizes) <= 6000
+        assert two_way_distance(vals, np.linalg.eigvals(dense(op))) <= 1e-10
+
+    def test_absorbing_box_sweeps(self, monkeypatch):
+        # criterion 12's box at alpha = 1 certifies from first-order starts
+        # in 27 sweeps and 5111 root evaluations (16 and 7320 from the
+        # line); a longer tail of slow roots shows here
+        sizes = self.ratio_sizes(monkeypatch)
+        vals = operators.eigenvalues(absorber_model(1500, 12, 3.0, 5.0j))
+        assert vals.shape == (1500,)
+        assert len(sizes) <= 28
+        assert sum(sizes) <= 5500
+
+    @pytest.mark.parametrize("amplitude", [100j, 300j])
+    def test_strong_absorber_restarts_from_the_line(self, monkeypatch, amplitude):
+        # eigenvalues far from first order: more than half the first-order
+        # starts still move after the trial sweeps, and the run restarts
+        # from the line, which certifies them (from first-order starts
+        # alone, 252 of 300 at 300i stay unconverged after 100 sweeps, and
+        # 100i certifies in 77 sweeps to the line's 35)
+        sizes = self.ratio_sizes(monkeypatch)
+        op = absorber_model(300, 8, 3.0, amplitude)
+        vals = operators.eigenvalues(op)
+        assert sizes[:operators._TRIAL_SWEEPS + 1] == [300] * (operators._TRIAL_SWEEPS + 1)
+        assert two_way_distance(vals, np.linalg.eigvals(dense(op))) <= 1e-10
+
+    @staticmethod
+    def ratio_sizes(monkeypatch):
+        """The number of roots of each _newton_ratio call, from now on."""
+        sizes = []
         newton_ratio = operators._newton_ratio
         monkeypatch.setattr(operators, "_newton_ratio",
-                            lambda *args: calls.append(1) or newton_ratio(*args))
-        vals = operators.eigenvalues(desk_model(800))
-        assert vals.shape == (800,)
-        assert len(calls) <= 25
+                            lambda a, u, z: sizes.append(z.size) or newton_ratio(a, u, z))
+        return sizes
 
     def test_uncertified_roots_exit_4(self, monkeypatch, tmp_path):
         monkeypatch.setattr(operators, "_ABERTH_SWEEPS", 1)
@@ -207,7 +256,9 @@ class TestStructuredSpectra:
         assert "not certified" in doc["error"]
 
     def test_memory_of_h(self):
-        # the pair sums run in row blocks: no N x N complex temporary
+        # the pair sums run in row blocks of at most _PAIR_BYTES: no N x N
+        # complex temporary, and the Newton chunks set the peak, 5.3 MiB
+        # here (12.1 MiB with 256-row pair blocks)
         n = 2000
         op = desk_model(n)
         tracemalloc.start()
@@ -218,6 +269,7 @@ class TestStructuredSpectra:
             tracemalloc.stop()
         assert vals.shape == (n,)
         assert peak < n * n * 16 / 4
+        assert peak < 6 * 2**20
 
 
 # The evaluator that operators._newton_ratio replaced, kept as its oracle:
@@ -305,8 +357,8 @@ class TestNewtonRatio:
 
     @pytest.mark.parametrize("background", ["dirichlet", "periodic"])
     def test_memory_at_desk_size(self, background):
-        # root chunks keep the blocked arrays for all N roots within the
-        # pair-sum buffer of _aberth, _PAIR_ROWS x N complex
+        # root chunks keep the blocked arrays for all N roots within
+        # _NEWTON_ROWS x N complex
         n = 800
         op = random_model(np.random.default_rng(n), n, background)
         a, u = op.diagonal.astype(complex), op.coupling
@@ -318,7 +370,7 @@ class TestNewtonRatio:
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(ratio))
-        assert peak < operators._PAIR_ROWS * n * 16
+        assert peak < operators._NEWTON_ROWS * n * 16
 
 
 class TestClassify:
